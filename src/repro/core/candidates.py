@@ -25,6 +25,7 @@ import numpy as np
 from repro.core import instrument
 from repro.core.ledger import policy_airtime
 from repro.core.problem import TX_LEGACY, MulticastAssociationProblem
+from repro.vec import backend
 from repro.vec import strategy as vec_strategy
 
 
@@ -197,29 +198,20 @@ class CandidateFamily:
         """The inverted CSR: user ``u`` is covered by candidates
         ``inc_candidates[inc_offsets[u]:inc_offsets[u+1]]``, ascending.
 
-        Built lazily with a counting sort that walks candidates in index
-        order, so per-user candidate lists come out ascending — the order
-        the greedy tie-break contract requires.
+        Built lazily by :func:`repro.vec.backend.invert_csr`, whose stable
+        sort keeps per-user candidate lists ascending — the order the
+        greedy tie-break contract requires.
         """
         if self._incidence is None:
-            counts = [0] * self.n_users
-            for user in self.members:
-                counts[user] += 1
-            inc_offsets = array("q", [0] * (self.n_users + 1))
-            total = 0
-            for user in range(self.n_users):
-                inc_offsets[user] = total
-                total += counts[user]
-            inc_offsets[self.n_users] = total
-            cursor = list(inc_offsets[: self.n_users])
-            inc_candidates = array("q", [0] * total)
-            offsets, members = self.offsets, self.members
-            for k in range(len(self.ap)):
-                for i in range(offsets[k], offsets[k + 1]):
-                    user = members[i]
-                    inc_candidates[cursor[user]] = k
-                    cursor[user] += 1
-            self._incidence = (inc_offsets, inc_candidates)
+            inc_offsets, inc_candidates = backend.invert_csr(
+                backend.as_int64(self.offsets),
+                backend.as_int64(self.members),
+                self.n_users,
+            )
+            self._incidence = (
+                array("q", inc_offsets.tobytes()),
+                array("q", inc_candidates.tobytes()),
+            )
         return self._incidence
 
     def candidate(self, k: int) -> CandidateSet:
@@ -270,90 +262,89 @@ class CandidateFamily:
         )
 
 
-def _build_family_numpy(
-    problem: MulticastAssociationProblem,
-    *,
-    prune: bool,
-    rate_grid: Sequence[float] | None,
-) -> CandidateFamily:
-    """Blockwise construction of the family on the numpy backend.
+def _build_family_numpy(problem: MulticastAssociationProblem) -> CandidateFamily:
+    """The pruned family in one array pass over the in-range links.
 
-    Mirrors :func:`build_candidates` exactly: same (AP asc, session asc,
-    rate asc) enumeration, same float comparisons on the same values and
-    the same per-candidate cost expression — so the emitted family is
-    bit-identical to the scalar construction.
+    Mirrors :func:`build_candidates` exactly: the distinct (AP, session,
+    link rate) triples of the in-range links, ascending, are the scalar
+    loop's (AP, session, transmit rate) enumeration. A link covers every
+    candidate of its (AP, session) group at or below its own rate, so
+    repeating each link — in (AP, user) order — once per such candidate
+    and stable-sorting by candidate yields every member list in ascending
+    user order. Legacy costs are the ``rate(s) / r`` float division of
+    ``transmission_cost``; other policies are priced per candidate through
+    :func:`~repro.core.ledger.policy_airtime` on the members' rates in
+    ascending user order — so the family is bit-identical to the scalar
+    construction.
     """
     rates = problem.link_rates
-    session_users = [
-        np.asarray(problem.users_of_session(s), dtype=np.int64)
-        for s in range(problem.n_sessions)
+    n_sessions = problem.n_sessions
+    user_sessions = np.asarray(problem.user_sessions, dtype=np.int64)
+    in_range = np.flatnonzero(rates > 0)  # (AP, user) ascending
+    link_ap, link_user = np.divmod(in_range, max(problem.n_users, 1))
+    link_group = link_ap * n_sessions + user_sessions[link_user]
+    link_rate = np.take(rates, in_range)
+
+    # Candidates: the distinct (group, rate) pairs, ascending.
+    by_rate = np.lexsort((link_rate, link_group))
+    sorted_group = link_group[by_rate]
+    sorted_rate = link_rate[by_rate]
+    fresh = np.ones(sorted_group.size, dtype=bool)
+    fresh[1:] = (sorted_group[1:] != sorted_group[:-1]) | (
+        sorted_rate[1:] != sorted_rate[:-1]
+    )
+    cand_group = sorted_group[fresh]
+    cand_rate = sorted_rate[fresh]
+    n_cand = cand_group.size
+    group_start = np.ones(n_cand, dtype=bool)
+    group_start[1:] = cand_group[1:] != cand_group[:-1]
+    first_of_group = np.maximum.accumulate(
+        np.where(group_start, np.arange(n_cand, dtype=np.int64), 0)
+    )
+
+    # Link i covers candidates lowest[i]..highest[i] of its group; the
+    # pairs list them link by link, and pair p of link i (which starts at
+    # pair starts[i]) is candidate lowest[i] + p - starts[i].
+    highest = np.empty(link_rate.size, dtype=np.int64)
+    highest[by_rate] = np.cumsum(fresh) - 1
+    lowest = first_of_group[highest]
+    spans = highest - lowest + 1
+    starts = np.cumsum(spans) - spans
+    pair_cand = np.repeat(lowest - starts, spans) + np.arange(
+        int(spans.sum()), dtype=np.int64
+    )
+    members = np.repeat(link_user, spans)[
+        np.argsort(pair_cand, kind="stable")
     ]
-    ap_col: list[int] = []
-    session_col: list[int] = []
-    tx_col: list[float] = []
-    cost_col: list[float] = []
-    member_chunks: list[np.ndarray] = []
-    lengths: list[int] = []
-    for ap in range(problem.n_aps):
-        row = rates[ap]
-        for session in range(problem.n_sessions):
-            users = session_users[session]
-            if users.size == 0:
-                continue
-            link = row[users]
-            heard = link > 0
-            if not heard.any():
-                continue
-            listeners = users[heard]
-            listener_rates = link[heard]
-            if prune:
-                tx_rates = np.unique(listener_rates)
-            else:
-                if rate_grid is None:
-                    raise ValueError("prune=False requires a rate_grid")
-                max_link = listener_rates.max()
-                tx_rates = np.asarray(
-                    [r for r in rate_grid if r <= max_link], dtype=np.float64
-                )
+    offsets = np.zeros(n_cand + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_cand, minlength=n_cand), out=offsets[1:])
+
+    cand_ap = cand_group // n_sessions
+    cand_session = cand_group % n_sessions
+    session_rates = np.asarray(
+        [s.rate_mbps for s in problem.sessions], dtype=np.float64
+    )
+    cost = session_rates[cand_session] / cand_rate
+    if not problem.all_legacy:
+        for k in range(n_cand):
+            session = int(cand_session[k])
             policy = problem.policy_of(session)
-            for tx in tx_rates:
-                keep = listener_rates >= tx
-                covered = listeners[keep]
-                if covered.size == 0:
-                    continue
-                if policy == TX_LEGACY:
-                    cand_cost = problem.transmission_cost(session, float(tx))
-                else:
-                    cand_cost = policy_airtime(
-                        policy,
-                        problem.session_rate(session),
-                        [float(r) for r in listener_rates[keep]],
-                    )
-                ap_col.append(ap)
-                session_col.append(session)
-                tx_col.append(float(tx))
-                cost_col.append(cand_cost)
-                member_chunks.append(covered)
-                lengths.append(int(covered.size))
-    offsets = array("q", [0] * (len(lengths) + 1))
-    total = 0
-    for k, length in enumerate(lengths):
-        offsets[k] = total
-        total += length
-    offsets[len(lengths)] = total
-    members = array("q")
-    if member_chunks:
-        flat = np.concatenate(member_chunks)
-        members.frombytes(flat.astype(np.int64, copy=False).tobytes())
+            if policy != TX_LEGACY:
+                covered = members[offsets[k] : offsets[k + 1]]
+                cost[k] = policy_airtime(
+                    policy,
+                    problem.session_rate(session),
+                    rates[cand_ap[k], covered].tolist(),
+                )
     return CandidateFamily(
         n_users=problem.n_users,
         n_aps=problem.n_aps,
-        ap=array("q", ap_col),
-        session=array("q", session_col),
-        tx_rate=array("d", tx_col),
-        cost=array("d", cost_col),
-        offsets=offsets,
-        members=members,
+        ap=array("q", cand_ap.tobytes()),
+        session=array("q", cand_session.tobytes()),
+        tx_rate=array("d", cand_rate.tobytes()),
+        cost=array("d", cost.tobytes()),
+        offsets=array("q", offsets.tobytes()),
+        members=array("q", members.tobytes()),
     )
 
 
@@ -367,20 +358,25 @@ def build_family(
     """Array-backed candidate construction with the dual-strategy switch.
 
     The scalar strategy flattens :func:`build_candidates`' output; the
-    vector strategy builds the same arrays blockwise on the numpy backend
-    (falling back to the scalar path when ``REPRO_VEC_NUMPY=0``). Both
-    yield identical families — candidates in the same order with the same
-    float rates/costs and the same ascending member lists.
+    vector strategy builds the same arrays in one pass on the numpy
+    backend (falling back to the scalar path when ``REPRO_VEC_NUMPY=0``,
+    and for the unpruned rate-grid construction, which only tests use).
+    Both yield identical families — candidates in the same order with the
+    same float rates/costs and the same ascending member lists.
     """
     resolved = vec_strategy.resolve_strategy(
         problem.n_users * max(problem.n_aps, 1),
         override=strategy,
         threshold=vec_strategy.VECTOR_SIZE_THRESHOLD,
     )
-    if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
+    if (
+        prune
+        and resolved == vec_strategy.VECTOR
+        and vec_strategy.numpy_enabled()
+    ):
         if instrument.enabled():
             instrument.incr("candidates.strategy_switches")
-        return _build_family_numpy(problem, prune=prune, rate_grid=rate_grid)
+        return _build_family_numpy(problem)
     return CandidateFamily.from_candidates(
         build_candidates(problem, prune=prune, rate_grid=rate_grid),
         n_users=problem.n_users,

@@ -36,16 +36,18 @@ class MlaSolution:
         return self.assignment.total_load()
 
 
-def solve_mla(
+def mla_cover(
     problem: MulticastAssociationProblem,
     *,
     strategy: str | None = None,
-) -> MlaSolution:
-    """Run Centralized MLA; raises :class:`CoverageError` for isolated users.
+) -> SetCoverResult:
+    """MLA's cover step: the Theorem-5 reduction solved by ``CostSC``.
 
-    ``strategy`` forces the scalar or vector hot-path implementation
-    (``None`` resolves via ``REPRO_STRATEGY`` then the auto size switch);
-    both are bit-identical.
+    Raises :class:`CoverageError` for isolated users. ``strategy`` forces
+    the scalar or vector hot-path implementation (``None`` resolves via
+    ``REPRO_STRATEGY`` then the auto size switch); both are bit-identical.
+    The sharded engine's workers stop here and ship the picks; the
+    assignment is materialized once, after stitching.
     """
     isolated = problem.isolated_users()
     if isolated:
@@ -69,16 +71,33 @@ def solve_mla(
             candidates = build_candidates(problem)
             ground = set(range(problem.n_users))
             cover = greedy_set_cover(candidates, ground)
-        assignment = from_selected_sets(
-            problem,
-            ((c.ap, c.session, c.tx_rate, c.users) for c in cover.selected),
-            strategy=resolved,
-        )
-        # Feasibility wrt range/rates only: MLA has no budget constraint.
-        assignment.validate(check_budgets=False)
     if instrument.enabled():
         instrument.incr("mla.solves")
         instrument.incr("mla.cover_sets", len(cover.selected))
+    return cover
+
+
+def solve_mla(
+    problem: MulticastAssociationProblem,
+    *,
+    strategy: str | None = None,
+) -> MlaSolution:
+    """Run Centralized MLA; raises :class:`CoverageError` for isolated users.
+
+    :func:`mla_cover` followed by the materialize step, which turns the
+    selected sets into a range/rate-validated assignment (MLA has no
+    budget constraint).
+    """
+    cover = mla_cover(problem, strategy=strategy)
+    assignment = from_selected_sets(
+        problem,
+        ((c.ap, c.session, c.tx_rate, c.users) for c in cover.selected),
+        strategy=vec_strategy.resolve_strategy(
+            problem.n_users * max(problem.n_aps, 1), override=strategy
+        ),
+    )
+    assignment.validate(check_budgets=False)
+    if instrument.enabled():
         instrument.gauge("mla.n_served", float(assignment.n_served))
         instrument.gauge("mla.total_load", assignment.total_load())
         instrument.gauge("mla.max_load", assignment.max_load())

@@ -113,9 +113,15 @@ class MulticastAssociationProblem:
         ids = [s.session_id for s in sessions]
         if ids != list(range(len(sessions))):
             raise ModelError("sessions must be numbered 0..k-1 in order")
-        for u, s in enumerate(user_sessions):
-            if not 0 <= s < len(sessions):
-                raise ModelError(f"user {u} requests unknown session {s}")
+        requested = np.asarray(user_sessions)
+        unknown = np.flatnonzero(
+            ~((requested >= 0) & (requested < len(sessions)))
+        )
+        if unknown.size:
+            u = int(unknown[0])
+            raise ModelError(
+                f"user {u} requests unknown session {user_sessions[u]}"
+            )
         if isinstance(budgets, (int, float)):
             budget_array = np.full(n_aps, float(budgets))
         else:
@@ -140,17 +146,22 @@ class MulticastAssociationProblem:
 
         self._rates = rates
         self._rates.setflags(write=False)
-        self._user_sessions = tuple(int(s) for s in user_sessions)
+        session_index = requested.astype(np.int64)
+        self._user_sessions: tuple[int, ...] = tuple(session_index.tolist())
         self._sessions = tuple(sessions)
         self._budgets = budget_array
         self._budgets.setflags(write=False)
         self._policies = policy_tuple
         self._all_legacy = all(p == TX_LEGACY for p in policy_tuple)
         # users_of_session[s] = sorted tuple of users requesting session s
-        by_session: list[list[int]] = [[] for _ in self._sessions]
-        for u, s in enumerate(self._user_sessions):
-            by_session[s].append(u)
-        self._users_of_session = tuple(tuple(us) for us in by_session)
+        by_session = np.argsort(session_index, kind="stable").tolist()
+        bounds = np.cumsum(
+            np.bincount(session_index, minlength=len(sessions))
+        ).tolist()
+        self._users_of_session = tuple(
+            tuple(by_session[lo:hi])
+            for lo, hi in zip([0, *bounds[:-1]], bounds, strict=True)
+        )
 
     # -- construction helpers ------------------------------------------------
 
@@ -250,7 +261,7 @@ class MulticastAssociationProblem:
 
     def isolated_users(self) -> list[int]:
         """Users out of range of every AP — never servable."""
-        return [u for u in range(self.n_users) if not np.any(self._rates[:, u] > 0)]
+        return np.flatnonzero(~(self._rates > 0).any(axis=0)).tolist()
 
     def coverage_feasible(self) -> bool:
         """True when every user can hear at least one AP."""

@@ -146,14 +146,15 @@ class ShardedEngine:
         The long-running service mutates the *parameters* of a
         deployment — users switching sessions, sessions changing rate —
         while the radio geometry (AP/user counts, link rates) stays
-        put. This re-plans and re-slices shards for the new problem but
-        keeps the fingerprint cache and the tracked membership: entries
-        are content-addressed (:func:`shard_fingerprint` hashes the
-        rate sub-matrix, budgets, user sessions and the session
-        catalog), so shards the change did not touch keep hitting while
-        stale entries miss and are evicted on contact. A changed rate
-        matrix would change the coverage partition itself, so that is
-        rejected.
+        put. The partition plan depends only on the link rates and the
+        shard cap, so it is kept and the shards are rebound to the new
+        problem; the fingerprint cache and the tracked membership are
+        kept too: entries are content-addressed
+        (:func:`shard_fingerprint` hashes the rates, budgets, user
+        sessions and the session catalog), so shards the change did not
+        touch keep hitting while stale entries miss and are evicted on
+        contact. A changed rate matrix would change the coverage
+        partition itself, so that is rejected.
         """
         if problem.n_aps != self.problem.n_aps or (
             problem.n_users != self.problem.n_users
@@ -163,18 +164,16 @@ class ShardedEngine:
                 f"(had {self.problem.n_aps}x{self.problem.n_users}, "
                 f"got {problem.n_aps}x{problem.n_users})"
             )
-        if not (problem.link_rates == self.problem.link_rates).all():
+        if problem.link_rates is not self.problem.link_rates and not (
+            (problem.link_rates == self.problem.link_rates).all()
+        ):
             raise ModelError(
                 "swap_problem cannot change link rates (the coverage "
                 "partition depends on them); build a new engine instead"
             )
         self.problem = problem
-        self.plan = plan_shards(
-            problem, max_shard_users=self._max_shard_users
-        )
-        self.shards = build_shards(problem, self.plan)
-        self._shard_of_user = self.plan.shard_of_user()
-        self._shard_of_ap = self.plan.shard_of_ap()
+        for shard in self.shards:
+            shard.rebind(problem)
         metrics.incr("engine.problem_swaps")
 
     def shard_of_user(self, user: int) -> int | None:

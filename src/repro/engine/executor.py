@@ -45,7 +45,7 @@ from repro.core.bla import (
 from repro.core.candidates import CandidateSet, build_candidates, restrict_to_users
 from repro.core.errors import CoverageError, SolverError
 from repro.core.mcg import greedy_mcg
-from repro.core.mla import solve_mla
+from repro.core.mla import mla_cover
 from repro.core.mnu import augment_assignment, solve_mnu
 from repro.core.problem import MulticastAssociationProblem
 from repro.engine.shard import Shard, ShardProblem, stitch_assignment
@@ -154,9 +154,12 @@ def mnu_shard_raw(
 
 
 def mla_shard_raw(sub: MulticastAssociationProblem) -> tuple[SetPick, ...]:
-    """Centralized MLA (``CostSC``) on one shard; the cover in pick order."""
-    solution = solve_mla(sub)
-    return tuple(_pick(c) for c in solution.cover.selected)
+    """Centralized MLA (``CostSC``) on one shard; the cover in pick order.
+
+    Only the cover step runs here: :func:`stitch_mla` materializes and
+    validates the stitched assignment once, for all shards.
+    """
+    return tuple(_pick(c) for c in mla_cover(sub).selected)
 
 
 def bla_shard_federated(

@@ -5,8 +5,9 @@ from scratch wastes the decomposition the engine worked for. This module
 makes re-solves proportional to the *blast radius* of a change:
 
 * :func:`shard_fingerprint` hashes everything a shard's sub-problem depends
-  on — its AP set, its active users, the rate sub-matrix, the budgets, the
-  users' sessions and the session catalog. Content addressing makes
+  on — its AP set, its active users, the rates (as the once-per-rate-matrix
+  digest of the shard's whole block), the budgets, the users' sessions and
+  the session catalog. Content addressing makes
   invalidation automatic: any membership or parameter change lands a
   different fingerprint and the stale entry simply misses.
 * :class:`ShardCache` stores per-shard solver outputs keyed by
@@ -31,6 +32,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro.core.errors import ModelError
 from repro.core.problem import TX_LEGACY, MulticastAssociationProblem
 from repro.engine.shard import Shard
 from repro.obs import counters as metrics
@@ -44,23 +46,28 @@ def shard_fingerprint(
     """Content hash of the sub-problem ``shard`` induces over ``active_users``.
 
     Two equal fingerprints guarantee byte-identical sub-problems, hence —
-    the solvers being deterministic — identical per-shard solutions.
+    the solvers being deterministic — identical per-shard solutions. The
+    rates enter as the digest of the shard's *full* ``aps × users`` block
+    (:meth:`~repro.engine.shard.Shard.block_digest`, hashed once per rate
+    matrix) next to the active-user list; that pins the active sub-matrix
+    because the active users must be a subset of the shard's users, and
+    anything else raises :class:`~repro.core.errors.ModelError`.
     """
+    users = list(active_users)
+    if not shard.user_set.issuperset(users):
+        outside = sorted(set(users) - shard.user_set)
+        raise ModelError(f"users {outside} are not in shard {shard.index}")
     digest = sha256()
     aps = list(shard.aps)
-    users = list(active_users)
     digest.update(np.asarray(aps, dtype=np.int64).tobytes())
     digest.update(np.asarray(users, dtype=np.int64).tobytes())
-    rates = problem.link_rates[np.ix_(aps, users)] if users else np.empty(0)
-    digest.update(np.ascontiguousarray(rates, dtype=np.float64).tobytes())
+    digest.update(shard.block_digest(problem))
     digest.update(
         np.ascontiguousarray(problem.budgets[aps], dtype=np.float64).tobytes()
     )
-    digest.update(
-        np.asarray(
-            [problem.session_of(u) for u in users], dtype=np.int64
-        ).tobytes()
-    )
+    user_sessions = problem.user_sessions
+    sessions = [user_sessions[u] for u in users]
+    digest.update(np.asarray(sessions, dtype=np.int64).tobytes())
     for session in problem.sessions:
         digest.update(
             f"{session.session_id}:{session.rate_mbps!r};".encode("ascii")
@@ -68,15 +75,16 @@ def shard_fingerprint(
     # Transmission policies change how the sub-problem prices airtime, so
     # they are part of the content address — but only the policies of
     # sessions this shard's active users actually request, and only when
-    # non-legacy. All-legacy fingerprints are byte-identical to the
-    # pre-policy scheme (warm caches survive the upgrade), and a
+    # non-legacy. All-legacy problems hash no policy bytes at all, and a
     # ``set-policy`` event re-fingerprints only the shards whose users
     # stream the session it touched.
-    requested = {problem.session_of(u) for u in users}
-    for session_index in sorted(requested):
-        policy = problem.policy_of(session_index)
-        if policy != TX_LEGACY:
-            digest.update(f"policy:{session_index}:{policy};".encode("ascii"))
+    if not problem.all_legacy:
+        for session_index in sorted(set(sessions)):
+            policy = problem.policy_of(session_index)
+            if policy != TX_LEGACY:
+                digest.update(
+                    f"policy:{session_index}:{policy};".encode("ascii")
+                )
     return digest.hexdigest()
 
 

@@ -20,6 +20,7 @@ stream rates need no remapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -90,6 +91,7 @@ class Shard:
         self.ap_set = frozenset(component.aps)
         self._ap_local = {ap: j for j, ap in enumerate(component.aps)}
         self._user_local = {u: i for i, u in enumerate(component.users)}
+        self._block_digest: bytes | None = None
 
     @property
     def n_users(self) -> int:
@@ -104,6 +106,32 @@ class Shard:
 
     def local_ap(self, global_ap: int) -> int:
         return self._ap_local[global_ap]
+
+    def rebind(self, problem: MulticastAssociationProblem) -> None:
+        """Bind this shard to ``problem``, whose link rates must be equal.
+
+        The index maps stay; so does the cached :meth:`block_digest` when
+        ``problem`` shares the bound rate matrix (the same array object).
+        """
+        if problem.link_rates is not self.problem.link_rates:
+            self._block_digest = None
+        self.problem = problem
+
+    def block_digest(self, problem: MulticastAssociationProblem) -> bytes:
+        """SHA-256 of ``problem``'s link rates over this shard's full
+        ``aps × users`` block.
+
+        Hashed once for the rate matrix the shard is bound to and cached;
+        a problem carrying any other ``link_rates`` array is hashed
+        afresh, never answered from the cache.
+        """
+        if problem.link_rates is not self.problem.link_rates:
+            return _hash_block(problem.link_rates, self.aps, self.users)
+        if self._block_digest is None:
+            self._block_digest = _hash_block(
+                self.problem.link_rates, self.aps, self.users
+            )
+        return self._block_digest
 
     def active_users(self, active: Iterable[int] | None) -> tuple[int, ...]:
         """The shard's users intersected with ``active``, ascending."""
@@ -133,6 +161,12 @@ class Shard:
         return (
             f"Shard(index={self.index}, aps={self.n_aps}, users={self.n_users})"
         )
+
+
+def _hash_block(
+    rates: np.ndarray, aps: Sequence[int], users: Sequence[int]
+) -> bytes:
+    return sha256(rates[np.ix_(aps, users)].tobytes()).digest()
 
 
 def build_shards(

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.candidates import (
+    CandidateFamily,
     CandidateSet,
     build_candidates,
+    build_family,
     coverable_users,
     group_by_ap,
     restrict_to_users,
 )
+from repro.core.problem import TX_POLICIES, MulticastAssociationProblem, Session
 from tests.conftest import paper_example_problem, random_problem
 
 
@@ -120,3 +126,80 @@ class TestHelpers:
     def test_restrict_drops_empty(self):
         p = paper_example_problem(1.0)
         assert restrict_to_users(build_candidates(p), set()) == []
+
+
+# -- the one-pass array family ------------------------------------------------
+
+# Few distinct values, 0.0 (out of range) twice as likely: columns go
+# all-zero (isolated users) and link rates tie within a group.
+LINK_RATES = (0.0, 0.0, 6.0, 12.0, 12.0, 54.0)
+
+
+@st.composite
+def policy_problems(draw):
+    """Instances with mixed policies, isolated users, unheard sessions."""
+    n_aps = draw(st.integers(min_value=1, max_value=5))
+    n_users = draw(st.integers(min_value=0, max_value=14))
+    n_sessions = draw(st.integers(min_value=1, max_value=4))
+    link = [
+        [draw(st.sampled_from(LINK_RATES)) for _ in range(n_users)]
+        for _ in range(n_aps)
+    ]
+    # Users draw from the first sessions only, so the last can go unheard.
+    user_sessions = [
+        draw(st.integers(min_value=0, max_value=max(n_sessions - 2, 0)))
+        for _ in range(n_users)
+    ]
+    sessions = [
+        Session(i, draw(st.sampled_from((0.5, 1.0, 3.0))))
+        for i in range(n_sessions)
+    ]
+    policies = [draw(st.sampled_from(TX_POLICIES)) for _ in range(n_sessions)]
+    return MulticastAssociationProblem(
+        link, user_sessions, sessions, policies=policies
+    )
+
+
+def family_bytes(family):
+    return {
+        name: bytes(getattr(family, name))
+        for name in ("ap", "session", "tx_rate", "cost", "offsets", "members")
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(policy_problems())
+def test_one_pass_family_matches_scalar_bytes(problem):
+    previous = os.environ.pop("REPRO_VEC_NUMPY", None)
+    try:
+        family = build_family(problem, strategy="vector")
+    finally:
+        if previous is not None:
+            os.environ["REPRO_VEC_NUMPY"] = previous
+    reference = CandidateFamily.from_candidates(
+        build_candidates(problem), n_users=problem.n_users, n_aps=problem.n_aps
+    )
+    assert family_bytes(family) == family_bytes(reference)
+    assert (family.n_users, family.n_aps) == (problem.n_users, problem.n_aps)
+
+    inc_offsets, inc_candidates = family.incidence()
+    for user in range(problem.n_users):
+        covering = [
+            k for k in range(len(family)) if user in family.members_of(k)
+        ]
+        assert (
+            list(inc_candidates[inc_offsets[user] : inc_offsets[user + 1]])
+            == covering
+        )
+    assert len(inc_offsets) == problem.n_users + 1
+    assert len(inc_candidates) == len(family.members)
+
+    isolated = problem.isolated_users()
+    assert all(type(user) is int for user in isolated)
+    assert isolated == [
+        user
+        for user in range(problem.n_users)
+        if not any(
+            problem.link_rate(ap, user) > 0 for ap in range(problem.n_aps)
+        )
+    ]

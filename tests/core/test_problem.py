@@ -50,6 +50,22 @@ class TestConstruction:
         with pytest.raises(ModelError):
             MulticastAssociationProblem([[1.0]], [3], [Session(0, 1.0)])
 
+    def test_unknown_session_names_the_first_offender(self):
+        with pytest.raises(
+            ModelError, match=r"^user 1 requests unknown session -1$"
+        ):
+            MulticastAssociationProblem(
+                [[1.0, 1.0, 1.0]], [0, -1, 5], [Session(0, 1.0)]
+            )
+        with pytest.raises(
+            ModelError, match=r"^user 2 requests unknown session 2$"
+        ):
+            MulticastAssociationProblem(
+                [[1.0, 1.0, 1.0]],
+                np.array([1, 0, 2]),
+                [Session(0, 1.0), Session(1, 1.0)],
+            )
+
     def test_rejects_misnumbered_sessions(self):
         with pytest.raises(ModelError):
             MulticastAssociationProblem([[1.0]], [0], [Session(1, 1.0)])
@@ -85,6 +101,20 @@ class TestAccessors:
         p = paper_example_problem(1.0)
         assert p.users_of_session(0) == (0, 2)
         assert p.users_of_session(1) == (1, 3, 4)
+        # numpy requests, an unheard session; plain ints out either way
+        p = MulticastAssociationProblem(
+            [[1.0] * 6],
+            np.array([2, 0, 2, 0, 1, 2]),
+            [Session(i, 1.0) for i in range(4)],
+        )
+        assert p.user_sessions == (2, 0, 2, 0, 1, 2)
+        assert [p.users_of_session(s) for s in range(4)] == [
+            (1, 3), (4,), (0, 2, 5), ()
+        ]
+        assert all(type(s) is int for s in p.user_sessions)
+        assert all(
+            type(u) is int for s in range(4) for u in p.users_of_session(s)
+        )
 
     def test_aps_of_user(self):
         p = paper_example_problem(1.0)

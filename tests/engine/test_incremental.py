@@ -194,3 +194,114 @@ class TestOnlineIntegration:
             after = engine.solve("mnu")
             assert after.cache_misses == 1
             assert after.cache_hits == engine.plan.n_shards - 1
+
+
+class TestFingerprintSoundness:
+    """The rate block is hashed once per rate matrix, never reused across
+    matrices, and only ever for users the shard owns."""
+
+    @pytest.fixture
+    def setup(self):
+        problem = block_problem(33, n_blocks=3)
+        shards = build_shards(problem, plan_shards(problem))
+        return problem, shards
+
+    @staticmethod
+    def rebuilt(problem, **changes):
+        fields = {
+            "link_rates": problem.link_rates,
+            "user_sessions": list(problem.user_sessions),
+            "sessions": problem.sessions,
+            "budgets": problem.budgets,
+            "policies": problem.session_policies,
+        }
+        fields.update(changes)
+        return type(problem)(**fields)
+
+    def test_rebuild_sharing_the_rate_matrix_fingerprints_the_same(self, setup):
+        problem, shards = setup
+        again = self.rebuilt(problem)
+        assert again.link_rates is problem.link_rates
+        for shard in shards:
+            active = shard.users[::2]
+            assert shard_fingerprint(again, shard, active) == (
+                shard_fingerprint(problem, shard, active)
+            )
+
+    def test_no_op_rebuild_still_hits_the_cache(self):
+        problem = block_problem(34, n_blocks=4)
+        with ShardedEngine(problem) as engine:
+            n = engine.plan.n_shards
+            engine.solve("mla")
+            engine.swap_problem(self.rebuilt(problem))
+            again = engine.solve("mla")
+            assert (again.cache_hits, again.cache_misses) == (n, 0)
+
+    def test_equal_content_in_a_new_array_fingerprints_the_same(self, setup):
+        problem, shards = setup
+        copied = self.rebuilt(problem, link_rates=np.array(problem.link_rates))
+        assert copied.link_rates is not problem.link_rates
+        for shard in shards:
+            assert shard_fingerprint(copied, shard, shard.users) == (
+                shard_fingerprint(problem, shard, shard.users)
+            )
+
+    def test_different_rate_matrix_on_the_same_shard_differs(self, setup):
+        problem, shards = setup
+        shard = shards[0]
+        active = shard.users[1:]
+        # Warm the shard's cached block digest on its own matrix first.
+        baseline = shard_fingerprint(problem, shard, active)
+        rates = np.array(problem.link_rates)
+        rates[shard.aps[-1], active[-1]] += 6.0
+        bumped = self.rebuilt(problem, link_rates=rates)
+        assert shard_fingerprint(bumped, shard, active) != baseline
+        # ... and the bumped matrix did not overwrite the cached digest.
+        assert shard_fingerprint(problem, shard, active) == baseline
+
+    def test_rebinding_keeps_the_digest_only_for_the_same_matrix(self, setup):
+        problem, shards = setup
+        shard = shards[1]
+        baseline = shard_fingerprint(problem, shard, shard.users)
+        shard.rebind(self.rebuilt(problem))
+        assert shard_fingerprint(problem, shard, shard.users) == baseline
+        rates = np.array(problem.link_rates)
+        rates[shard.aps[0], shard.users[0]] += 6.0
+        bumped = self.rebuilt(problem, link_rates=rates)
+        shard.rebind(bumped)
+        assert shard_fingerprint(bumped, shard, shard.users) != baseline
+
+    def test_users_outside_the_shard_are_rejected(self, setup):
+        problem, shards = setup
+        with pytest.raises(ModelError, match="not in shard 0"):
+            shard_fingerprint(
+                problem, shards[0], shards[0].users + shards[1].users[:1]
+            )
+
+
+class TestSwapProblemKeepsThePlan:
+    def test_move_rebinds_shards_without_replanning(self):
+        problem = block_problem(35, n_blocks=4)
+        with ShardedEngine(problem) as engine:
+            engine.solve("mla")
+            plan = engine.plan
+            user = plan.shards[1].users[0]
+            sessions = list(problem.user_sessions)
+            sessions[user] = (sessions[user] + 1) % problem.n_sessions
+            moved = type(problem)(
+                problem.link_rates, sessions, problem.sessions, problem.budgets
+            )
+            engine.swap_problem(moved)
+            assert engine.plan is plan
+            assert [s.users for s in engine.shards] == [
+                s.users for s in plan.shards
+            ]
+            assert all(s.problem is moved for s in engine.shards)
+            warm = engine.solve("mla")
+            assert warm.n_resolved == 1
+            with ShardedEngine(moved) as cold:
+                assert cold.plan == plan
+                assert (
+                    cold.solve("mla").assignment.ap_of_user
+                    == warm.assignment.ap_of_user
+                )
