@@ -55,12 +55,7 @@ from repro.core.interference_aware import (
     InterferenceAwareSolution,
     solve_interference_aware_mnu,
 )
-from repro.core.ledger import (
-    LEDGER_CHECK_ENV,
-    CandidateGainIndex,
-    LoadLedger,
-    ledger_check_enabled,
-)
+from repro.core.ledger import CandidateGainIndex, LoadLedger
 from repro.core.locks import LockTable, run_locked_simultaneous
 from repro.core.mcg import McgResult, greedy_mcg
 from repro.core.mla import MlaSolution, solve_mla
@@ -115,7 +110,6 @@ __all__ = [
     "DistributedResult",
     "InfeasibleAssignmentError",
     "InterferenceAwareSolution",
-    "LEDGER_CHECK_ENV",
     "LoadLedger",
     "LockTable",
     "McgResult",
@@ -153,7 +147,6 @@ __all__ = [
     "greedy_mcg",
     "greedy_set_cover",
     "group_by_ap",
-    "ledger_check_enabled",
     "map_back",
     "max_iterations",
     "max_min_unicast_shares",

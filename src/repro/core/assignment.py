@@ -25,11 +25,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.core import instrument
 from repro.core.errors import InfeasibleAssignmentError, ModelError
 from repro.core.ledger import LoadLedger
 from repro.core.problem import MulticastAssociationProblem
-from repro.vec import strategy as vec_strategy
 
 UNSERVED = None
 
@@ -154,29 +152,19 @@ class Assignment:
     def violations(self, check_budgets: bool = True) -> list[str]:
         """Human-readable model violations (empty when feasible)."""
         problems: list[str] = []
-        resolved = vec_strategy.resolve_strategy(self._problem.n_users)
-        if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
-            # Vector twin of the scalar loop below: identical messages in
-            # identical (ascending-user) order.
-            served_ap = np.fromiter(
-                (-1 if ap is None else ap for ap in self._map),
-                dtype=np.int64,
-                count=len(self._map),
-            )
-            users = np.nonzero(served_ap >= 0)[0]
-            if users.size:
-                in_range = (
-                    self._problem.link_rates[served_ap[users], users] > 0
+        served_ap = np.fromiter(
+            (-1 if ap is None else ap for ap in self._map),
+            dtype=np.int64,
+            count=len(self._map),
+        )
+        users = np.nonzero(served_ap >= 0)[0]
+        if users.size:
+            in_range = self._problem.link_rates[served_ap[users], users] > 0
+            for user in users[~in_range]:
+                problems.append(
+                    f"user {int(user)} is out of range of "
+                    f"AP {int(served_ap[user])}"
                 )
-                for user in users[~in_range]:
-                    problems.append(
-                        f"user {int(user)} is out of range of "
-                        f"AP {int(served_ap[user])}"
-                    )
-        else:
-            for user, ap in enumerate(self._map):
-                if ap is not None and not self._problem.in_range(ap, user):
-                    problems.append(f"user {user} is out of range of AP {ap}")
         if check_budgets:
             for ap in range(self._problem.n_aps):
                 load = self.ledger.load_of(ap)
@@ -214,8 +202,6 @@ class Assignment:
 def from_selected_sets(
     problem: MulticastAssociationProblem,
     selections: Iterable[tuple[int, int, float, Iterable[int]]],
-    *,
-    strategy: str | None = None,
 ) -> Assignment:
     """Assignment from reduction output: ``(ap, session, tx_rate, users)``.
 
@@ -226,17 +212,9 @@ def from_selected_sets(
     so merging same-(AP, session) selections down to the minimum rate — the
     repair step in DESIGN.md §6 — happens automatically.
 
-    Dual-strategy: both twins process users of each selection in ascending
-    order (so validation errors are deterministic and identical) and apply
-    the same strictly-greater best-rate rule, so the resulting map is
-    bit-identical either way. ``strategy`` overrides the auto switch on
-    ``problem.n_users``.
+    Users of each selection are processed in ascending order, so a
+    validation error always names the same user.
     """
-    resolved = vec_strategy.resolve_strategy(
-        problem.n_users, override=strategy
-    )
-    if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
-        return _from_selected_sets_vector(problem, selections)
     ap_of_user: list[int | None] = [None] * problem.n_users
     best_rate: list[float] = [-1.0] * problem.n_users
     for ap, session, tx_rate, users in selections:
@@ -254,44 +232,6 @@ def from_selected_sets(
                 best_rate[user] = link
                 ap_of_user[user] = ap
     return Assignment(problem, ap_of_user)
-
-
-def _from_selected_sets_vector(
-    problem: MulticastAssociationProblem,
-    selections: Iterable[tuple[int, int, float, Iterable[int]]],
-) -> Assignment:
-    """The array twin of the :func:`from_selected_sets` scalar loop."""
-    if instrument.enabled():
-        instrument.incr("assignment.strategy_switches")
-    n_users = problem.n_users
-    rates = problem.link_rates
-    user_sessions = np.asarray(problem.user_sessions, dtype=np.int64)
-    best_rate = np.full(n_users, -1.0)
-    ap_of = np.full(n_users, -1, dtype=np.int64)
-    for ap, session, tx_rate, users in selections:
-        members = np.fromiter((int(u) for u in users), dtype=np.int64)
-        if members.size == 0:
-            continue
-        members.sort()
-        link = rates[ap, members]
-        trouble = (user_sessions[members] != session) | (link < tx_rate)
-        if trouble.any():
-            where = int(np.argmax(trouble))
-            user = int(members[where])
-            if user_sessions[user] != session:
-                raise ModelError(
-                    f"user {user} does not request session {session}"
-                )
-            raise ModelError(
-                f"user {user} cannot decode AP {ap} at {tx_rate} Mbps"
-            )
-        improves = link > best_rate[members]
-        winners = members[improves]
-        best_rate[winners] = link[improves]
-        ap_of[winners] = ap
-    return Assignment(
-        problem, [None if ap < 0 else int(ap) for ap in ap_of]
-    )
 
 
 def compare_load_vectors(

@@ -35,8 +35,8 @@ from repro.core.candidates import (
 from repro.core.errors import CoverageError
 from repro.core.mcg import greedy_mcg, greedy_mcg_flat
 from repro.core.problem import MulticastAssociationProblem
-from repro.vec import bitset
-from repro.vec import strategy as vec_strategy
+from repro.vec import backend
+
 
 @dataclass(frozen=True)
 class BlaSolution:
@@ -126,7 +126,7 @@ def _iterated_mnu_flat(
     n_aps: int,
     b_star: float,
     iteration_cap: int,
-) -> tuple[list[tuple[int, list[int]]], int] | None:
+) -> tuple[list[tuple[int, np.ndarray]], int] | None:
     """The flat twin of :func:`_iterated_mnu`.
 
     Returns ``(picks, iterations)`` where each pick is a candidate index
@@ -134,16 +134,11 @@ def _iterated_mnu_flat(
     (ascending) — exactly the restricted sets the scalar twin extends
     ``picked`` with. ``None`` when the cap is hit (guess infeasible).
     """
-    use_numpy = vec_strategy.numpy_enabled()
-    remaining_arr: "np.ndarray | None" = None
-    remaining_bits = 0
-    if use_numpy:
-        remaining_arr = np.ones(family.n_users, dtype=bool)
-        remaining_count = family.n_users
-    else:
-        remaining_bits = bitset.full_mask(family.n_users)
-        remaining_count = family.n_users
-    picks: list[tuple[int, list[int]]] = []
+    members = backend.as_int64(family.members)
+    bounds = family.offsets
+    remaining = np.ones(family.n_users, dtype=bool)
+    remaining_count = family.n_users
+    picks: list[tuple[int, np.ndarray]] = []
     accumulated = [0.0] * n_aps
     iterations = 0
     while remaining_count:
@@ -151,87 +146,91 @@ def _iterated_mnu_flat(
             return None
         iterations += 1
         budgets = [iterations * b_star] * n_aps
-        ground: "np.ndarray | int" = (
-            remaining_arr if remaining_arr is not None else remaining_bits
-        )
         result = greedy_mcg_flat(
             family,
             budgets,
-            ground=ground,
+            ground=remaining,
             split=True,
             initial_group_cost=accumulated,
         )
         if not result.n_covered:
             return None  # no progress is possible: some user has no set
         for k in result.chosen:
-            members = family.members_of(k)
-            if remaining_arr is not None:
-                mem = np.asarray(members, dtype=np.int64)
-                restricted = [int(u) for u in mem[remaining_arr[mem]]]
-            else:
-                restricted = [
-                    u for u in members if (remaining_bits >> u) & 1
-                ]
-            picks.append((k, restricted))
+            mem = members[bounds[k] : bounds[k + 1]]
+            picks.append((k, mem[remaining[mem]]))
         for k in result.chosen:
             accumulated[family.ap[k]] += family.cost[k]
-        if remaining_arr is not None:
-            assert isinstance(result.covered, np.ndarray)
-            remaining_arr &= ~result.covered
-            remaining_count = int(remaining_arr.sum())
-        else:
-            assert isinstance(result.covered, int)
-            remaining_bits &= ~result.covered
-            remaining_count = bitset.mask_count(remaining_bits)
+        remaining &= ~result.covered
+        remaining_count = int(remaining.sum())
     return picks, iterations
 
 
 def _assignment_from_cover_flat(
     problem: MulticastAssociationProblem,
     family: CandidateFamily,
-    picks: Sequence[tuple[int, list[int]]],
+    picks: Sequence[tuple[int, np.ndarray]],
 ) -> Assignment:
     """First-cover-wins mapping over flat picks — the twin of
     :func:`assignment_from_cover` (per-user result is independent of
     within-set order, so both produce the same map)."""
-    if vec_strategy.numpy_enabled():
-        ap_of = np.full(problem.n_users, -1, dtype=np.int64)
-        for k, members in picks:
-            if not members:
-                continue
-            mem = np.asarray(members, dtype=np.int64)
-            unassigned = mem[ap_of[mem] < 0]
-            ap_of[unassigned] = family.ap[k]
-        return Assignment(
-            problem, [None if a < 0 else int(a) for a in ap_of]
-        )
-    ap_of_user: list[int | None] = [None] * problem.n_users
+    ap_of = np.full(problem.n_users, -1, dtype=np.int64)
     for k, members in picks:
-        ap = family.ap[k]
-        for user in members:
-            if ap_of_user[user] is None:
-                ap_of_user[user] = ap
-    return Assignment(problem, ap_of_user)
+        ap_of[members[ap_of[members] < 0]] = family.ap[k]
+    return Assignment(problem, [None if a < 0 else int(a) for a in ap_of])
 
 
-def _lower_bound(
-    problem: MulticastAssociationProblem, resolved: str
-) -> float:
-    """``max_u min_a cost(a, u)`` — bit-identical in both strategies
-    (pure comparisons over identically-computed quotients)."""
-    if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
-        rates = problem.link_rates
-        stream = np.asarray(
-            [
-                problem.session_rate(problem.session_of(u))
-                for u in range(problem.n_users)
-            ]
+Prober = Callable[[float], "tuple[Assignment, int] | None"]
+
+
+def _flat_prober(problem: MulticastAssociationProblem, cap: int) -> Prober:
+    """B* probes over the flat family: iterated MNU plus the mapping."""
+    family = build_family(problem)
+
+    def run_iterated(b_star: float) -> tuple[Assignment, int] | None:
+        outcome = _iterated_mnu_flat(family, problem.n_aps, b_star, cap)
+        if outcome is None:
+            return None
+        return (
+            _assignment_from_cover_flat(problem, family, outcome[0]),
+            outcome[1],
         )
-        with np.errstate(divide="ignore"):
-            costs = np.where(
-                rates > 0, stream[np.newaxis, :] / rates, np.inf
-            )
-        return float(costs.min(axis=0).max())
+
+    return run_iterated
+
+
+def _reference_prober(
+    problem: MulticastAssociationProblem, cap: int
+) -> Prober:
+    """The scalar twin of :func:`_flat_prober`, on a candidate list."""
+    candidates = build_candidates(problem)
+    ground = set(range(problem.n_users))
+
+    def run_iterated(b_star: float) -> tuple[Assignment, int] | None:
+        outcome = _iterated_mnu(candidates, problem.n_aps, b_star, ground, cap)
+        if outcome is None:
+            return None
+        return assignment_from_cover(problem, outcome[0]), outcome[1]
+
+    return run_iterated
+
+
+def _lower_bound(problem: MulticastAssociationProblem) -> float:
+    """``max_u min_a cost(a, u)`` — bit-identical to
+    :func:`_reference_lower_bound` (pure comparisons over identically
+    computed quotients)."""
+    rates = problem.link_rates
+    stream = np.asarray(
+        [
+            problem.session_rate(problem.session_of(u))
+            for u in range(problem.n_users)
+        ]
+    )
+    with np.errstate(divide="ignore"):
+        costs = np.where(rates > 0, stream[np.newaxis, :] / rates, np.inf)
+    return float(costs.min(axis=0).max())
+
+
+def _reference_lower_bound(problem: MulticastAssociationProblem) -> float:
     return max(problem.min_cost_of_user(u) for u in range(problem.n_users))
 
 
@@ -241,7 +240,6 @@ def solve_bla(
     n_guesses: int = 12,
     refine_steps: int = 12,
     local_search: bool = True,
-    strategy: str | None = None,
 ) -> BlaSolution:
     """Run Centralized BLA; raises :class:`CoverageError` for isolated users.
 
@@ -256,52 +254,61 @@ def solve_bla(
     full coverage, and terminates by the argument of Lemma 2. It repairs
     the greedy's blind spot — cost-effective APs that are later *forced*
     to absorb single-coverage users.
-
-    ``strategy`` forces the scalar or vector hot-path implementation of
-    the B* probes (``None`` resolves via ``REPRO_STRATEGY`` then the auto
-    size switch); the two are bit-identical, probe for probe.
     """
+    return _solve(
+        problem,
+        _flat_prober,
+        _lower_bound,
+        n_guesses=n_guesses,
+        refine_steps=refine_steps,
+        local_search=local_search,
+    )
+
+
+def solve_bla_reference(
+    problem: MulticastAssociationProblem,
+    *,
+    n_guesses: int = 12,
+    refine_steps: int = 12,
+    local_search: bool = True,
+) -> BlaSolution:
+    """Scalar reference for :func:`solve_bla`: the same B* search with
+    every probe run by :func:`greedy_mcg` over :func:`build_candidates`'
+    list, and the lower bound taken user by user.
+
+    Bit-identical to :func:`solve_bla`, probe for probe — map, loads and
+    counters. The differential tests and the ``scalar_vs_vector`` oracle
+    compare the two; no production call reaches it.
+    """
+    return _solve(
+        problem,
+        _reference_prober,
+        _reference_lower_bound,
+        n_guesses=n_guesses,
+        refine_steps=refine_steps,
+        local_search=local_search,
+    )
+
+
+def _solve(
+    problem: MulticastAssociationProblem,
+    make_prober: Callable[[MulticastAssociationProblem, int], Prober],
+    lower_bound: Callable[[MulticastAssociationProblem], float],
+    *,
+    n_guesses: int,
+    refine_steps: int,
+    local_search: bool,
+) -> BlaSolution:
     isolated = problem.isolated_users()
     if isolated:
         raise CoverageError(isolated)
     if n_guesses < 1:
         raise ValueError("need at least one B* guess")
-    resolved = vec_strategy.resolve_strategy(
-        problem.n_users * max(problem.n_aps, 1), override=strategy
-    )
 
     with instrument.span(
         "bla.solve", n_users=problem.n_users, n_aps=problem.n_aps
     ):
-        cap = max_iterations(problem.n_users)
-        run_iterated: Callable[[float], tuple[Assignment, int] | None]
-        if resolved == vec_strategy.VECTOR:
-            if instrument.enabled():
-                instrument.incr("bla.strategy_switches")
-            family = build_family(problem, strategy=vec_strategy.VECTOR)
-
-            def run_iterated(b_star: float) -> tuple[Assignment, int] | None:
-                outcome = _iterated_mnu_flat(
-                    family, problem.n_aps, b_star, cap
-                )
-                if outcome is None:
-                    return None
-                return (
-                    _assignment_from_cover_flat(problem, family, outcome[0]),
-                    outcome[1],
-                )
-
-        else:
-            candidates = build_candidates(problem)
-            ground = set(range(problem.n_users))
-
-            def run_iterated(b_star: float) -> tuple[Assignment, int] | None:
-                outcome = _iterated_mnu(
-                    candidates, problem.n_aps, b_star, ground, cap
-                )
-                if outcome is None:
-                    return None
-                return assignment_from_cover(problem, outcome[0]), outcome[1]
+        run_iterated = make_prober(problem, max_iterations(problem.n_users))
 
         # Upper bound: an unconstrained cover always exists; its max load
         # is a feasible (if poor) value of the objective.
@@ -312,7 +319,7 @@ def solve_bla(
         best_b_star = math.inf
         best_value = best_assignment.max_load()
 
-        lower = _lower_bound(problem, resolved)
+        lower = lower_bound(problem)
         upper = max(best_value, lower * (1 + 1e-9))
 
         def try_guess(b_star: float) -> bool:

@@ -22,11 +22,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core import instrument
 from repro.core.ledger import policy_airtime
 from repro.core.problem import TX_LEGACY, MulticastAssociationProblem
 from repro.vec import backend
-from repro.vec import strategy as vec_strategy
 
 
 @dataclass(frozen=True, slots=True)
@@ -122,13 +120,12 @@ class CandidateFamily:
     int64, ``'d'`` = float64) and session membership in one CSR table:
     candidate ``k`` covers ``members[offsets[k]:offsets[k+1]]``, always
     ascending. The numpy backend (:mod:`repro.vec.backend`) views the
-    same buffers zero-copy when enabled; int bitmasks
-    (:mod:`repro.vec.bitset`) serve the pure-stdlib set algebra.
+    same buffers zero-copy.
 
     A family built by :func:`build_family` enumerates candidates in
-    exactly :func:`build_candidates`' order, carries bit-identical costs
-    and rates, and :meth:`to_candidate_sets` round-trips to the scalar
-    representation — the equivalence the differential tests pin down.
+    exactly :func:`build_candidates`' order and carries bit-identical
+    costs and rates; :meth:`from_candidates` flattens that scalar list
+    into the reference family the differential tests compare against.
     """
 
     __slots__ = (
@@ -140,7 +137,6 @@ class CandidateFamily:
         "cost",
         "offsets",
         "members",
-        "_masks",
         "_incidence",
     )
 
@@ -164,7 +160,6 @@ class CandidateFamily:
         self.cost = cost
         self.offsets = offsets
         self.members = members
-        self._masks: list[int] | None = None
         self._incidence: tuple[array, array] | None = None
 
     @property
@@ -177,22 +172,6 @@ class CandidateFamily:
     def members_of(self, k: int) -> array:
         """Candidate ``k``'s covered users, ascending (a fresh array)."""
         return self.members[self.offsets[k] : self.offsets[k + 1]]
-
-    def member_count(self, k: int) -> int:
-        return self.offsets[k + 1] - self.offsets[k]
-
-    def masks(self) -> list[int]:
-        """Per-candidate membership bitmasks (lazy, cached)."""
-        if self._masks is None:
-            masks: list[int] = []
-            offsets, members = self.offsets, self.members
-            for k in range(len(self.ap)):
-                mask = 0
-                for i in range(offsets[k], offsets[k + 1]):
-                    mask |= 1 << members[i]
-                masks.append(mask)
-            self._masks = masks
-        return self._masks
 
     def incidence(self) -> tuple[array, array]:
         """The inverted CSR: user ``u`` is covered by candidates
@@ -223,10 +202,6 @@ class CandidateFamily:
             cost=self.cost[k],
             users=frozenset(self.members_of(k)),
         )
-
-    def to_candidate_sets(self) -> list[CandidateSet]:
-        """The scalar representation, in family order."""
-        return [self.candidate(k) for k in range(len(self.ap))]
 
     @classmethod
     def from_candidates(
@@ -262,8 +237,8 @@ class CandidateFamily:
         )
 
 
-def _build_family_numpy(problem: MulticastAssociationProblem) -> CandidateFamily:
-    """The pruned family in one array pass over the in-range links.
+def build_family(problem: MulticastAssociationProblem) -> CandidateFamily:
+    """The pruned candidate family in one array pass over the in-range links.
 
     Mirrors :func:`build_candidates` exactly: the distinct (AP, session,
     link rate) triples of the in-range links, ascending, are the scalar
@@ -275,7 +250,7 @@ def _build_family_numpy(problem: MulticastAssociationProblem) -> CandidateFamily
     ``transmission_cost``; other policies are priced per candidate through
     :func:`~repro.core.ledger.policy_airtime` on the members' rates in
     ascending user order — so the family is bit-identical to the scalar
-    construction.
+    reference, ``CandidateFamily.from_candidates(build_candidates(problem))``.
     """
     rates = problem.link_rates
     n_sessions = problem.n_sessions
@@ -345,42 +320,6 @@ def _build_family_numpy(problem: MulticastAssociationProblem) -> CandidateFamily
         cost=array("d", cost.tobytes()),
         offsets=array("q", offsets.tobytes()),
         members=array("q", members.tobytes()),
-    )
-
-
-def build_family(
-    problem: MulticastAssociationProblem,
-    *,
-    prune: bool = True,
-    rate_grid: Sequence[float] | None = None,
-    strategy: str | None = None,
-) -> CandidateFamily:
-    """Array-backed candidate construction with the dual-strategy switch.
-
-    The scalar strategy flattens :func:`build_candidates`' output; the
-    vector strategy builds the same arrays in one pass on the numpy
-    backend (falling back to the scalar path when ``REPRO_VEC_NUMPY=0``,
-    and for the unpruned rate-grid construction, which only tests use).
-    Both yield identical families — candidates in the same order with the
-    same float rates/costs and the same ascending member lists.
-    """
-    resolved = vec_strategy.resolve_strategy(
-        problem.n_users * max(problem.n_aps, 1),
-        override=strategy,
-        threshold=vec_strategy.VECTOR_SIZE_THRESHOLD,
-    )
-    if (
-        prune
-        and resolved == vec_strategy.VECTOR
-        and vec_strategy.numpy_enabled()
-    ):
-        if instrument.enabled():
-            instrument.incr("candidates.strategy_switches")
-        return _build_family_numpy(problem)
-    return CandidateFamily.from_candidates(
-        build_candidates(problem, prune=prune, rate_grid=rate_grid),
-        n_users=problem.n_users,
-        n_aps=problem.n_aps,
     )
 
 

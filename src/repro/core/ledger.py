@@ -38,19 +38,18 @@ verifier's independent oracle
 same way, which is what lets the property tests demand exact — not
 approximate — agreement.
 
-Setting ``REPRO_LEDGER_CHECK=1`` in the environment arms a debug
-invariant: after construction and after every mutation the ledger
-cross-checks its cached loads against a naive from-scratch recompute and
-raises :class:`~repro.core.errors.ModelError` on any disagreement. The
-runtime sanitizer mode (``REPRO_SANITIZE=1``, see
-:func:`repro.core.instrument.sanitize_enabled`) arms the same invariant
-and counts each sweep as ``sanitize.ledger_checks``.
+The runtime sanitizer mode (``REPRO_SANITIZE=1``, see
+:func:`repro.core.instrument.sanitize_enabled`) arms a debug invariant:
+after construction and after every mutation the ledger cross-checks its
+cached loads against a naive from-scratch recompute, raises
+:class:`~repro.core.errors.ModelError` on any disagreement, and counts
+each sweep as ``sanitize.ledger_checks``. Tests arm the same check on a
+single ledger with ``LoadLedger(check=True)``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left, insort
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -68,22 +67,6 @@ from repro.core.problem import (
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.assignment import Assignment
     from repro.core.candidates import CandidateSet
-
-#: Environment variable arming the paranoid recompute cross-check.
-LEDGER_CHECK_ENV = "REPRO_LEDGER_CHECK"
-
-
-def ledger_check_enabled() -> bool:
-    """True when ``REPRO_LEDGER_CHECK`` requests the debug invariant.
-
-    The sanitizer mode (``REPRO_SANITIZE=1``) arms the same invariant:
-    recompute-on-mutate is exactly the ledger's contribution to the
-    whole-stack consistency sweep.
-    """
-    if os.environ.get(LEDGER_CHECK_ENV, "") not in ("", "0"):
-        return True
-    return instrument.sanitize_enabled()
-
 
 def multicast_airtime(
     session_rate: float, member_rates: Iterable[float]
@@ -320,7 +303,7 @@ class LoadLedger:
             {} for _ in range(problem.n_aps)
         ]
         self._loads = np.zeros(problem.n_aps, dtype=np.float64)
-        self._check = ledger_check_enabled() if check is None else check
+        self._check = instrument.sanitize_enabled() if check is None else check
         self._policies = problem.session_policies
         self._all_legacy = problem.all_legacy
         self.op_moves = 0
@@ -630,8 +613,8 @@ class LoadLedger:
 
     def naive_loads(self) -> list[float]:
         """Per-AP loads re-derived from the map alone, ignoring all cached
-        state — the recompute the ``REPRO_LEDGER_CHECK`` invariant (and
-        the property tests) compare against."""
+        state — the recompute the sanitizer's invariant (and the property
+        tests) compare against."""
         members: dict[tuple[int, int], list[int]] = {}
         for user, ap in enumerate(self._map):
             if ap is None:

@@ -13,7 +13,6 @@ more elements, yielding the 8-approximation of Theorem 2.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -22,8 +21,7 @@ import numpy as np
 from repro.core import instrument
 from repro.core.candidates import CandidateFamily, CandidateSet
 from repro.core.ledger import CandidateGainIndex
-from repro.vec import bitset
-from repro.vec import strategy as vec_strategy
+from repro.vec import backend
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,7 @@ class FlatMcgResult:
 
     Mirrors :class:`McgResult` field for field, but holds candidate
     *indices* into the family instead of materialized sets, and the
-    covered users as a mask — a numpy bool vector in numpy mode, an int
-    bitmask in the pure-stdlib fallback. :meth:`to_mcg_result`
+    covered users as a numpy bool mask. :meth:`to_mcg_result`
     materializes the classic result for callers that want it.
     """
 
@@ -149,53 +146,26 @@ class FlatMcgResult:
     within_budget: tuple[int, ...]
     overshooting: tuple[int, ...]
     chosen: tuple[int, ...]
-    covered: "np.ndarray | int" = field(repr=False)
+    covered: np.ndarray = field(repr=False)
     rounds: int
     n_live: int
 
     @property
     def n_covered(self) -> int:
-        if isinstance(self.covered, int):
-            return bitset.mask_count(self.covered)
         return int(self.covered.sum())
 
     def covered_users(self) -> list[int]:
         """The covered users, ascending."""
-        if isinstance(self.covered, int):
-            return bitset.mask_to_indices(self.covered)
         return [int(u) for u in np.nonzero(self.covered)[0]]
 
-    def to_mcg_result(
-        self,
-        family: CandidateFamily,
-        ground: "np.ndarray | int | None" = None,
-    ) -> McgResult:
-        """The classic :class:`McgResult`, with members restricted to
-        ``ground`` (``None`` = unrestricted) exactly as the scalar greedy
-        sees restricted candidate lists."""
-
-        def restricted(k: int) -> CandidateSet:
-            users = family.members_of(k)
-            if ground is None:
-                kept = frozenset(users)
-            elif isinstance(ground, int):
-                kept = frozenset(u for u in users if (ground >> u) & 1)
-            else:
-                mem = np.asarray(users, dtype=np.int64)
-                kept = frozenset(int(u) for u in mem[ground[mem]])
-            return CandidateSet(
-                ap=family.ap[k],
-                session=family.session[k],
-                tx_rate=family.tx_rate[k],
-                cost=family.cost[k],
-                users=kept,
-            )
-
+    def to_mcg_result(self, family: CandidateFamily) -> McgResult:
+        """The classic :class:`McgResult`, each selected candidate
+        materialized once from ``family``."""
         cache: dict[int, CandidateSet] = {}
 
         def get(k: int) -> CandidateSet:
             if k not in cache:
-                cache[k] = restricted(k)
+                cache[k] = family.candidate(k)
             return cache[k]
 
         return McgResult(
@@ -213,11 +183,9 @@ def _flat_numpy(
     ground: "np.ndarray | None",
     live: "np.ndarray | None",
     initial_group_cost: Sequence[float] | None,
-) -> tuple[list[int], list[int], list[int], "np.ndarray", "np.ndarray", int, int]:
+) -> tuple[list[int], list[int], list[int], np.ndarray, int, int]:
     """Numpy-backed greedy rounds. Returns ``(selected, within, over,
-    ground0, remaining, rounds, n_live)``."""
-    from repro.vec import backend
-
+    ground0, rounds, n_live)``."""
     n = family.n_candidates
     offsets = backend.as_int64(family.offsets)
     members = backend.as_int64(family.members)
@@ -261,6 +229,9 @@ def _flat_numpy(
     within: list[int] = []
     overshooting: list[int] = []
     rounds = 0
+    # Per-pick scalars come from the stdlib columns: indexing them is
+    # cheaper than boxing numpy scalars, and the values are the same.
+    bounds, group_list, cost_of = family.offsets, family.ap, family.cost
     while remaining_count:
         rounds += 1
         if not eff.size:
@@ -268,15 +239,15 @@ def _flat_numpy(
         k = backend.first_argmax(eff)
         if not eff[k] > 0.0:
             break
-        g = int(group_of[k])
-        group_cost[g] += float(costs[k])
+        g = group_list[k]
+        group_cost[g] += cost_of[k]
         closes = open_list[g] and not (group_cost[g] < budget_list[g])
         if closes:
             open_list[g] = False
             open_np[g] = False
         available[k] = False
         eff[k] = -np.inf
-        m = members[offsets[k] : offsets[k + 1]]
+        m = members[bounds[k] : bounds[k + 1]]
         new = m[remaining[m]]
         touched: "np.ndarray | None" = None
         if new.size:
@@ -296,109 +267,19 @@ def _flat_numpy(
             eff[touched] = np.where(
                 ok, counts[touched] / costs[touched], -np.inf
             )
-        selected.append(int(k))
+        selected.append(k)
         if group_cost[g] > budgets[g]:
-            overshooting.append(int(k))
+            overshooting.append(k)
         else:
-            within.append(int(k))
-    return selected, within, overshooting, ground0, remaining, rounds, n_live
-
-
-def _flat_pure(
-    family: CandidateFamily,
-    budgets: Sequence[float],
-    ground: int | None,
-    live: "Sequence[bool] | np.ndarray | None",
-    initial_group_cost: Sequence[float] | None,
-) -> tuple[list[int], list[int], list[int], int, int, int, int]:
-    """Pure stdlib greedy rounds (int bitmasks + lists); bit-identical to
-    the numpy engine. Returns ``(selected, within, over, ground0,
-    remaining, rounds, n_live)``."""
-    n = family.n_candidates
-    masks = family.masks()
-    inc_off, inc_cand = family.incidence()
-    ground0 = bitset.full_mask(family.n_users) if ground is None else ground
-    remaining = ground0
-    remaining_count = bitset.mask_count(remaining)
-    counts = [bitset.mask_count(masks[k] & remaining) for k in range(n)]
-    live_list = [True] * n if live is None else [bool(x) for x in live]
-    n_live = sum(1 for k in range(n) if live_list[k] and counts[k] > 0)
-
-    group_cost = (
-        [0.0] * len(budgets)
-        if initial_group_cost is None
-        else [float(c) for c in initial_group_cost]
-    )
-    budget_list = [float(b) for b in budgets]
-    open_list = [c < b for c, b in zip(group_cost, budget_list, strict=True)]
-    group_members: dict[int, list[int]] = {}
-    for k in range(n):
-        group_members.setdefault(family.ap[k], []).append(k)
-    available = [True] * n
-    eff = [
-        counts[k] / family.cost[k]
-        if live_list[k] and counts[k] > 0 and open_list[family.ap[k]]
-        else -math.inf
-        for k in range(n)
-    ]
-
-    selected: list[int] = []
-    within: list[int] = []
-    overshooting: list[int] = []
-    rounds = 0
-    while remaining_count:
-        rounds += 1
-        best = -1
-        best_eff = 0.0
-        for k, value in enumerate(eff):
-            if value > best_eff:
-                best_eff = value
-                best = k
-        if best < 0:
-            break
-        g = family.ap[best]
-        group_cost[g] += family.cost[best]
-        closes = open_list[g] and not (group_cost[g] < budget_list[g])
-        if closes:
-            open_list[g] = False
-        available[best] = False
-        eff[best] = -math.inf
-        new_bits = masks[best] & remaining
-        touched: list[int] = []
-        if new_bits:
-            remaining &= ~new_bits
-            remaining_count -= bitset.mask_count(new_bits)
-            for user in bitset.mask_to_indices(new_bits):
-                segment = inc_cand[inc_off[user] : inc_off[user + 1]]
-                touched.extend(segment)
-                for k in segment:
-                    counts[k] -= 1
-        if closes:
-            for k in group_members.get(g, ()):
-                eff[k] = -math.inf
-        for k in touched:
-            if (
-                live_list[k]
-                and available[k]
-                and counts[k] > 0
-                and open_list[family.ap[k]]
-            ):
-                eff[k] = counts[k] / family.cost[k]
-            else:
-                eff[k] = -math.inf
-        selected.append(best)
-        if group_cost[g] > budgets[g]:
-            overshooting.append(best)
-        else:
-            within.append(best)
-    return selected, within, overshooting, ground0, remaining, rounds, n_live
+            within.append(k)
+    return selected, within, overshooting, ground0, rounds, n_live
 
 
 def greedy_mcg_flat(
     family: CandidateFamily,
     budgets: Sequence[float],
     *,
-    ground: "np.ndarray | int | None" = None,
+    ground: np.ndarray | None = None,
     live: "Sequence[bool] | np.ndarray | None" = None,
     split: bool = True,
     initial_group_cost: Sequence[float] | None = None,
@@ -408,7 +289,7 @@ def greedy_mcg_flat(
     Bit-identical to :func:`greedy_mcg` run on the equivalent scalar
     candidate list: ``live`` marks the candidates that list would contain
     (e.g. MNU's cost-feasible subset) and ``ground`` the element universe
-    (a numpy bool mask, an int bitmask, or ``None`` for all users) —
+    (a numpy bool mask, or ``None`` for all users) —
     scalar callers pre-restrict their lists with
     :func:`~repro.core.candidates.restrict_to_users`; here restriction is
     just the mask. Selection order, H1/H2 membership, accumulated group
@@ -418,89 +299,39 @@ def greedy_mcg_flat(
         budgets
     ):
         raise ValueError("one initial cost per group required")
-    pure = isinstance(ground, int) or not vec_strategy.numpy_enabled()
-    ground0_count: int
-    if pure:
-        ground_bits: int | None
-        if ground is None or isinstance(ground, int):
-            ground_bits = ground
-        else:
-            ground_bits = bitset.mask_from_indices(
-                int(u) for u in np.nonzero(ground)[0]
-            )
-        with instrument.span("mcg.greedy"):
-            (
-                selected,
-                within,
-                overshooting,
-                ground0_bits,
-                _remaining,
-                rounds,
-                n_live,
-            ) = _flat_pure(family, budgets, ground_bits, live, initial_group_cost)
-        ground0_count = bitset.mask_count(ground0_bits)
-        masks = family.masks()
-
-        def half_bits(indices: Sequence[int]) -> int:
-            union = 0
-            for k in indices:
-                union |= masks[k] & ground0_bits
-            return union
-
-        if not split:
-            chosen = tuple(selected)
-            covered: "np.ndarray | int" = half_bits(selected)
-        else:
-            h1 = half_bits(within)
-            h2 = half_bits(overshooting)
-            if bitset.mask_count(h1) >= bitset.mask_count(h2):
-                chosen, covered = tuple(within), h1
-            else:
-                chosen, covered = tuple(overshooting), h2
-    else:
-        ground_arr = None if ground is None else np.asarray(ground, dtype=bool)
-        with instrument.span("mcg.greedy"):
-            (
-                selected,
-                within,
-                overshooting,
-                ground0_arr,
-                _remaining_arr,
-                rounds,
-                n_live,
-            ) = _flat_numpy(
+    ground_arr = None if ground is None else np.asarray(ground, dtype=bool)
+    with instrument.span("mcg.greedy"):
+        selected, within, overshooting, ground0, rounds, n_live = (
+            _flat_numpy(
                 family, budgets, ground_arr, _as_bool_or_none(live),
                 initial_group_cost,
             )
-        ground0_count = int(ground0_arr.sum())
-        from repro.vec import backend
+        )
+    offsets = backend.as_int64(family.offsets)
+    members = backend.as_int64(family.members)
 
-        offsets = backend.as_int64(family.offsets)
-        members = backend.as_int64(family.members)
+    def half_mask(indices: Sequence[int]) -> np.ndarray:
+        union = np.zeros(family.n_users, dtype=bool)
+        for k in indices:
+            m = members[offsets[k] : offsets[k + 1]]
+            union[m[ground0[m]]] = True
+        return union
 
-        def half_mask(indices: Sequence[int]) -> "np.ndarray":
-            union = np.zeros(family.n_users, dtype=bool)
-            for k in indices:
-                m = members[offsets[k] : offsets[k + 1]]
-                union[m[ground0_arr[m]]] = True
-            return union
-
-        if not split:
-            chosen = tuple(selected)
-            covered = half_mask(selected)
+    if not split:
+        chosen = tuple(selected)
+        covered = half_mask(selected)
+    else:
+        h1_mask = half_mask(within)
+        h2_mask = half_mask(overshooting)
+        if int(h1_mask.sum()) >= int(h2_mask.sum()):
+            chosen, covered = tuple(within), h1_mask
         else:
-            h1_mask = half_mask(within)
-            h2_mask = half_mask(overshooting)
-            if int(h1_mask.sum()) >= int(h2_mask.sum()):
-                chosen, covered = tuple(within), h1_mask
-            else:
-                chosen, covered = tuple(overshooting), h2_mask
+            chosen, covered = tuple(overshooting), h2_mask
     if instrument.enabled():
         instrument.incr("mcg.runs")
         instrument.incr("mcg.rounds", rounds)
         instrument.incr("mcg.candidate_scans", rounds * n_live)
         instrument.incr("mcg.sets_selected", len(selected))
-        instrument.incr("mcg.strategy_switches")
     return FlatMcgResult(
         selected=tuple(selected),
         within_budget=tuple(within),

@@ -10,6 +10,7 @@ can and must be served).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.core import instrument
 from repro.core.assignment import Assignment, from_selected_sets
@@ -21,7 +22,6 @@ from repro.core.setcover import (
     greedy_set_cover,
     greedy_set_cover_flat,
 )
-from repro.vec import strategy as vec_strategy
 
 
 @dataclass(frozen=True)
@@ -36,65 +36,75 @@ class MlaSolution:
         return self.assignment.total_load()
 
 
-def mla_cover(
-    problem: MulticastAssociationProblem,
-    *,
-    strategy: str | None = None,
-) -> SetCoverResult:
+def mla_cover(problem: MulticastAssociationProblem) -> SetCoverResult:
     """MLA's cover step: the Theorem-5 reduction solved by ``CostSC``.
 
-    Raises :class:`CoverageError` for isolated users. ``strategy`` forces
-    the scalar or vector hot-path implementation (``None`` resolves via
-    ``REPRO_STRATEGY`` then the auto size switch); both are bit-identical.
-    The sharded engine's workers stop here and ship the picks; the
-    assignment is materialized once, after stitching.
+    Raises :class:`CoverageError` for isolated users. The sharded
+    engine's workers stop here and ship the picks; the assignment is
+    materialized once, after stitching.
     """
-    isolated = problem.isolated_users()
-    if isolated:
-        raise CoverageError(isolated)
-    resolved = vec_strategy.resolve_strategy(
-        problem.n_users * max(problem.n_aps, 1), override=strategy
-    )
-    with instrument.span(
-        "mla.solve", n_users=problem.n_users, n_aps=problem.n_aps
-    ):
-        if resolved == vec_strategy.VECTOR:
-            if instrument.enabled():
-                instrument.incr("mla.strategy_switches")
-            family = build_family(problem, strategy=vec_strategy.VECTOR)
-            chosen, total_cost = greedy_set_cover_flat(family)
-            cover = SetCoverResult(
-                selected=tuple(family.candidate(k) for k in chosen),
-                total_cost=total_cost,
-            )
-        else:
-            candidates = build_candidates(problem)
-            ground = set(range(problem.n_users))
-            cover = greedy_set_cover(candidates, ground)
-    if instrument.enabled():
-        instrument.incr("mla.solves")
-        instrument.incr("mla.cover_sets", len(cover.selected))
-    return cover
+    return _cover(problem, _flat_cover)
 
 
-def solve_mla(
-    problem: MulticastAssociationProblem,
-    *,
-    strategy: str | None = None,
-) -> MlaSolution:
+def solve_mla(problem: MulticastAssociationProblem) -> MlaSolution:
     """Run Centralized MLA; raises :class:`CoverageError` for isolated users.
 
     :func:`mla_cover` followed by the materialize step, which turns the
     selected sets into a range/rate-validated assignment (MLA has no
     budget constraint).
     """
-    cover = mla_cover(problem, strategy=strategy)
+    return _materialize(problem, mla_cover(problem))
+
+
+def solve_mla_reference(problem: MulticastAssociationProblem) -> MlaSolution:
+    """Scalar reference for :func:`solve_mla`: the same solve with the cover
+    built from :func:`build_candidates` and :func:`greedy_set_cover`.
+
+    Bit-identical to :func:`solve_mla` — map, loads and counters. The
+    differential tests and the ``scalar_vs_vector`` oracle compare the two;
+    no production call reaches it.
+    """
+    return _materialize(problem, _cover(problem, _reference_cover))
+
+
+def _flat_cover(problem: MulticastAssociationProblem) -> SetCoverResult:
+    family = build_family(problem)
+    chosen, total_cost = greedy_set_cover_flat(family)
+    return SetCoverResult(
+        selected=tuple(family.candidate(k) for k in chosen),
+        total_cost=total_cost,
+    )
+
+
+def _reference_cover(problem: MulticastAssociationProblem) -> SetCoverResult:
+    return greedy_set_cover(
+        build_candidates(problem), set(range(problem.n_users))
+    )
+
+
+def _cover(
+    problem: MulticastAssociationProblem,
+    run: Callable[[MulticastAssociationProblem], SetCoverResult],
+) -> SetCoverResult:
+    isolated = problem.isolated_users()
+    if isolated:
+        raise CoverageError(isolated)
+    with instrument.span(
+        "mla.solve", n_users=problem.n_users, n_aps=problem.n_aps
+    ):
+        cover = run(problem)
+    if instrument.enabled():
+        instrument.incr("mla.solves")
+        instrument.incr("mla.cover_sets", len(cover.selected))
+    return cover
+
+
+def _materialize(
+    problem: MulticastAssociationProblem, cover: SetCoverResult
+) -> MlaSolution:
     assignment = from_selected_sets(
         problem,
         ((c.ap, c.session, c.tx_rate, c.users) for c in cover.selected),
-        strategy=vec_strategy.resolve_strategy(
-            problem.n_users * max(problem.n_aps, 1), override=strategy
-        ),
     )
     assignment.validate(check_budgets=False)
     if instrument.enabled():

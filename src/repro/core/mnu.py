@@ -15,14 +15,13 @@ increase the number of served users and never violates budgets. The
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.core import instrument
 from repro.core.assignment import Assignment, from_selected_sets
 from repro.core.candidates import build_candidates, build_family
 from repro.core.mcg import McgResult, greedy_mcg, greedy_mcg_flat
 from repro.core.problem import MulticastAssociationProblem
-from repro.vec import strategy as vec_strategy
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,6 @@ def solve_mnu(
     *,
     split: bool = True,
     augment: bool = False,
-    strategy: str | None = None,
 ) -> MnuSolution:
     """Run Centralized MNU on ``problem`` (budgets taken from the instance).
 
@@ -89,50 +87,75 @@ def solve_mnu(
         meaningful for analysis.
     augment:
         greedily re-add users dropped by the split when they still fit.
-    strategy:
-        ``"scalar"`` / ``"vector"`` forces the hot-path implementation;
-        ``None`` resolves via ``REPRO_STRATEGY`` then the auto size
-        switch. Both strategies are bit-identical.
     """
-    resolved = vec_strategy.resolve_strategy(
-        problem.n_users * max(problem.n_aps, 1), override=strategy
+    return _solve(problem, _flat_mcg, split=split, augment=augment)
+
+
+def solve_mnu_reference(
+    problem: MulticastAssociationProblem,
+    *,
+    split: bool = True,
+    augment: bool = False,
+) -> MnuSolution:
+    """Scalar reference for :func:`solve_mnu`: the same solve with the
+    greedy run by :func:`greedy_mcg` over :func:`build_candidates`' list.
+
+    Bit-identical to :func:`solve_mnu` — map, loads and counters. The
+    differential tests and the ``scalar_vs_vector`` oracle compare the two;
+    no production call reaches it.
+    """
+    return _solve(problem, _reference_mcg, split=split, augment=augment)
+
+
+# The H1/H2 split's feasibility guarantee (Theorem 2) rests on the paper's
+# assumption that no single set costs more than its group's budget. A set
+# with cost > budget can never appear in any feasible solution (one
+# transmission would already exceed the AP's limit), so both greedy runs
+# below drop such sets, which is exact and restores the assumption. Each
+# returns the greedy result and the number of sets it ran over.
+
+
+def _flat_mcg(
+    problem: MulticastAssociationProblem, split: bool
+) -> tuple[McgResult, int]:
+    family = build_family(problem)
+    live = [
+        family.cost[k] <= problem.budget_of(family.ap[k]) + 1e-12
+        for k in range(family.n_candidates)
+    ]
+    flat = greedy_mcg_flat(
+        family, list(problem.budgets), live=live, split=split
     )
+    return flat.to_mcg_result(family), sum(live)
+
+
+def _reference_mcg(
+    problem: MulticastAssociationProblem, split: bool
+) -> tuple[McgResult, int]:
+    candidates = [
+        c
+        for c in build_candidates(problem)
+        if c.cost <= problem.budget_of(c.ap) + 1e-12
+    ]
+    ground = set(range(problem.n_users))
+    result = greedy_mcg(candidates, list(problem.budgets), ground, split=split)
+    return result, len(candidates)
+
+
+def _solve(
+    problem: MulticastAssociationProblem,
+    run: Callable[[MulticastAssociationProblem, bool], tuple[McgResult, int]],
+    *,
+    split: bool,
+    augment: bool,
+) -> MnuSolution:
     with instrument.span(
         "mnu.solve", n_users=problem.n_users, n_aps=problem.n_aps
     ):
-        # The H1/H2 split's feasibility guarantee (Theorem 2) rests on the
-        # paper's assumption that no single set costs more than its group's
-        # budget. A set with cost > budget can never appear in any feasible
-        # solution (one transmission would already exceed the AP's limit), so
-        # dropping such sets is exact, and restores the assumption.
-        if resolved == vec_strategy.VECTOR:
-            if instrument.enabled():
-                instrument.incr("mnu.strategy_switches")
-            family = build_family(problem, strategy=vec_strategy.VECTOR)
-            live = [
-                family.cost[k] <= problem.budget_of(family.ap[k]) + 1e-12
-                for k in range(family.n_candidates)
-            ]
-            n_candidates = sum(live)
-            flat = greedy_mcg_flat(
-                family, list(problem.budgets), live=live, split=split
-            )
-            result = flat.to_mcg_result(family)
-        else:
-            candidates = [
-                c
-                for c in build_candidates(problem)
-                if c.cost <= problem.budget_of(c.ap) + 1e-12
-            ]
-            n_candidates = len(candidates)
-            ground = set(range(problem.n_users))
-            result = greedy_mcg(
-                candidates, list(problem.budgets), ground, split=split
-            )
+        result, n_candidates = run(problem, split)
         assignment = from_selected_sets(
             problem,
             ((c.ap, c.session, c.tx_rate, c.users) for c in result.chosen),
-            strategy=resolved,
         )
         if augment:
             assignment = augment_assignment(assignment)

@@ -12,11 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core import instrument
 from repro.core.candidates import CandidateFamily, CandidateSet
 from repro.core.errors import CoverageError
-from repro.vec import bitset
-from repro.vec import strategy as vec_strategy
+from repro.vec import backend
 
 
 @dataclass(frozen=True)
@@ -76,34 +74,16 @@ def greedy_set_cover(
 
 
 def greedy_set_cover_flat(
-    family: "CandidateFamily",
-    ground: "np.ndarray | int | None" = None,
+    family: CandidateFamily, ground: np.ndarray | None = None
 ) -> tuple[list[int], float]:
     """``CostSC`` on a flat family; bit-identical to :func:`greedy_set_cover`.
 
-    ``ground`` is the element universe as a numpy bool mask, an int
-    bitmask, or ``None`` for all users. Returns the selected candidate
-    indices in greedy order plus the summed cost (accumulated in the same
-    order, so the float is identical to the scalar twin's). Raises
-    :class:`CoverageError` with the same sorted missing-user list.
+    ``ground`` is the element universe as a numpy bool mask, or ``None``
+    for all users. Returns the selected candidate indices in greedy order
+    plus the summed cost (accumulated in the same order, so the float is
+    identical to the scalar reference's). Raises :class:`CoverageError`
+    with the same sorted missing-user list.
     """
-    if instrument.enabled():
-        instrument.incr("setcover.strategy_switches")
-    pure = isinstance(ground, int) or not vec_strategy.numpy_enabled()
-    if pure:
-        return _cover_pure(
-            family, ground if isinstance(ground, int) or ground is None else
-            bitset.mask_from_indices(int(u) for u in np.nonzero(ground)[0]),
-        )
-    ground_arr = None if ground is None else np.asarray(ground, dtype=bool)
-    return _cover_numpy(family, ground_arr)
-
-
-def _cover_numpy(
-    family: "CandidateFamily", ground: "np.ndarray | None"
-) -> tuple[list[int], float]:
-    from repro.vec import backend
-
     n = family.n_candidates
     offsets = backend.as_int64(family.offsets)
     members = backend.as_int64(family.members)
@@ -113,7 +93,9 @@ def _cover_numpy(
     inc_cand = backend.as_int64(inc_cand_raw)
 
     remaining = (
-        np.ones(family.n_users, dtype=bool) if ground is None else ground.copy()
+        np.ones(family.n_users, dtype=bool)
+        if ground is None
+        else np.array(ground, dtype=bool)
     )
     coverable = np.zeros(family.n_users, dtype=bool)
     if members.size:
@@ -131,67 +113,24 @@ def _cover_numpy(
     )
     selected: list[int] = []
     total_cost = 0.0
+    # Per-pick scalars come from the stdlib columns: indexing them is
+    # cheaper than boxing numpy scalars, and the values are the same.
+    bounds, cost_of = family.offsets, family.cost
     while remaining_count:
         k = backend.first_argmax(eff) if eff.size else -1
         if k < 0 or not eff[k] > 0.0:  # unreachable given the check above
             raise CoverageError([int(u) for u in np.nonzero(remaining)[0]])
-        selected.append(int(k))
-        total_cost += float(costs[k])
+        selected.append(k)
+        total_cost += cost_of[k]
         eff[k] = -np.inf
-        m = members[offsets[k] : offsets[k + 1]]
+        m = members[bounds[k] : bounds[k + 1]]
         new = m[remaining[m]]
         if new.size:
             remaining[new] = False
             remaining_count -= int(new.size)
             touched = backend.gather_segments(inc_off, inc_cand, new)
             backend.subtract_at(counts, touched)
-            keep = (counts[touched] > 0) & (eff[touched] > -np.inf)
-            eff[touched] = np.where(
-                keep, counts[touched] / costs[touched], -np.inf
-            )
-    return selected, total_cost
-
-
-def _cover_pure(
-    family: "CandidateFamily", ground: int | None
-) -> tuple[list[int], float]:
-    n = family.n_candidates
-    masks = family.masks()
-    inc_off, inc_cand = family.incidence()
-    remaining = (
-        bitset.full_mask(family.n_users) if ground is None else ground
-    )
-    coverable = 0
-    for k in range(n):
-        coverable |= masks[k]
-    missing = remaining & ~coverable
-    if missing:
-        raise CoverageError(bitset.mask_to_indices(missing))
-
-    remaining_count = bitset.mask_count(remaining)
-    counts = [bitset.mask_count(masks[k] & remaining) for k in range(n)]
-    chosen = [False] * n
-    selected: list[int] = []
-    total_cost = 0.0
-    while remaining_count:
-        best = -1
-        best_eff = 0.0
-        for k in range(n):
-            if chosen[k] or counts[k] == 0:
-                continue
-            eff = counts[k] / family.cost[k]
-            if eff > best_eff:
-                best_eff = eff
-                best = k
-        if best < 0:  # unreachable given the check above
-            raise CoverageError(bitset.mask_to_indices(remaining))
-        selected.append(best)
-        chosen[best] = True
-        total_cost += family.cost[best]
-        new_bits = masks[best] & remaining
-        remaining &= ~new_bits
-        remaining_count -= bitset.mask_count(new_bits)
-        for user in bitset.mask_to_indices(new_bits):
-            for k in inc_cand[inc_off[user] : inc_off[user + 1]]:
-                counts[k] -= 1
+            left = counts[touched]
+            keep = (left > 0) & (eff[touched] > -np.inf)
+            eff[touched] = np.where(keep, left / costs[touched], -np.inf)
     return selected, total_cost

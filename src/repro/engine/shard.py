@@ -25,12 +25,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.core import instrument
 from repro.core.assignment import Assignment
 from repro.core.errors import ModelError
 from repro.core.problem import MulticastAssociationProblem
 from repro.engine.partition import Component, ShardPlan
-from repro.vec import strategy as vec_strategy
 
 
 @dataclass(frozen=True)
@@ -53,20 +51,6 @@ class ShardProblem:
             raise ModelError(
                 f"shard has {len(self.users)} users, map covers {len(local_map)}"
             )
-        resolved = vec_strategy.resolve_strategy(len(self.users))
-        if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
-            local = np.fromiter(
-                (-1 if ap is None else ap for ap in local_map),
-                dtype=np.int64,
-                count=len(local_map),
-            )
-            served = np.nonzero(local >= 0)[0]
-            global_users = np.asarray(self.users, dtype=np.int64)[served]
-            global_aps = np.asarray(self.aps, dtype=np.int64)[local[served]]
-            return [
-                (int(u), int(a))
-                for u, a in zip(global_users, global_aps, strict=True)
-            ]
         return [
             (self.users[u], self.aps[a])
             for u, a in enumerate(local_map)
@@ -182,22 +166,13 @@ def build_shards(
 def stitch_assignment(
     problem: MulticastAssociationProblem,
     pairs: Iterable[tuple[int, int]],
-    *,
-    strategy: str | None = None,
 ) -> Assignment:
     """Global assignment from per-shard (user, AP) pairs.
 
     Users appearing in no pair stay unserved. Shards are user-disjoint, so
-    a duplicate user indicates a bug in the caller's shard bookkeeping.
-    Dual-strategy (auto-switched on ``problem.n_users``, overridable via
-    ``strategy``): both twins produce the same map and, on a conflicting
-    input, the same error for the *first* conflicting pair.
+    a duplicate user indicates a bug in the caller's shard bookkeeping;
+    the error names the *first* conflicting pair.
     """
-    resolved = vec_strategy.resolve_strategy(
-        problem.n_users, override=strategy
-    )
-    if resolved == vec_strategy.VECTOR and vec_strategy.numpy_enabled():
-        return _stitch_assignment_vector(problem, pairs)
     ap_of_user: list[int | None] = [None] * problem.n_users
     for user, ap in pairs:
         if ap_of_user[user] is not None and ap_of_user[user] != ap:
@@ -206,39 +181,3 @@ def stitch_assignment(
             )
         ap_of_user[user] = ap
     return Assignment(problem, ap_of_user)
-
-
-def _stitch_assignment_vector(
-    problem: MulticastAssociationProblem,
-    pairs: Iterable[tuple[int, int]],
-) -> Assignment:
-    """The array twin of the :func:`stitch_assignment` scalar loop.
-
-    Conflict detection: until the first conflicting pair the scalar loop
-    only ever re-writes a user's slot with the same AP, so the stored
-    value at that point equals the AP of the user's *first* pair — which
-    is what the vectorized scan compares against.
-    """
-    if instrument.enabled():
-        instrument.incr("stitch.strategy_switches")
-    pair_list = list(pairs)
-    if not pair_list:
-        return Assignment(problem, [None] * problem.n_users)
-    users = np.fromiter(
-        (p[0] for p in pair_list), dtype=np.int64, count=len(pair_list)
-    )
-    aps = np.fromiter(
-        (p[1] for p in pair_list), dtype=np.int64, count=len(pair_list)
-    )
-    unique_users, first_index = np.unique(users, return_index=True)
-    reference = aps[first_index[np.searchsorted(unique_users, users)]]
-    conflicts = aps != reference
-    if conflicts.any():
-        where = int(np.argmax(conflicts))
-        raise ModelError(
-            f"user {int(users[where])} assigned by two shards "
-            f"({int(reference[where])}, {int(aps[where])})"
-        )
-    ap_of = np.full(problem.n_users, -1, dtype=np.int64)
-    ap_of[users] = aps
-    return Assignment(problem, [None if a < 0 else int(a) for a in ap_of])

@@ -27,10 +27,9 @@ project-wide call graph (:mod:`repro.lint.callgraph`):
 Run it as ``python -m repro lint [paths...]`` (CI runs it over ``src``,
 ``tests`` and ``benchmarks``, through the incremental cache), or
 programmatically via :func:`lint_paths` / :func:`lint_file`. Violations
-are suppressed line by line with ``# replint: ignore[RPL00x]`` or
-grandfathered in the checked-in baseline; suppressions and baseline
-entries that stop matching anything are themselves reported (RPL006),
-so the ignore inventory can only shrink. The rule table lives in
+are suppressed line by line with ``# replint: ignore[RPL00x]``;
+suppressions that stop matching anything are themselves reported
+(RPL006), so the ignore inventory can only shrink. The rule table lives in
 ``docs/static-analysis.md``.
 """
 

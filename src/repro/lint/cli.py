@@ -4,17 +4,14 @@
     python -m repro lint src tests benchmarks
     python -m repro lint --format json path/to/file.py
     python -m repro lint --format sarif --out replint.sarif src
-    python -m repro lint --update-baseline src tests
 
 The incremental cache (``.replint-cache.json``, gitignored) is on by
 default and makes warm runs skip re-analyzing unchanged files; timing
 and cache statistics go to *stderr*, so machine output on stdout is
-byte-identical warm or cold. A checked-in baseline
-(``.replint-baseline.json``) grandfathers known findings; stale entries
-are violations, so it can only shrink.
+byte-identical warm or cold.
 
 Exit codes: 0 clean, 1 violations found, 2 operational error (missing
-path, unparsable file, unreadable baseline).
+path, unparsable file).
 """
 
 from __future__ import annotations
@@ -26,17 +23,12 @@ import time
 from pathlib import Path
 from typing import Sequence
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    write_baseline,
-)
 from repro.lint.cache import DEFAULT_CACHE_NAME
 from repro.lint.engine import LintReport, lint_paths
 from repro.lint.registry import all_project_rules, all_rules
 
 
-def render_human(report: LintReport, *, baselined: int = 0) -> str:
+def render_human(report: LintReport) -> str:
     """Editor-clickable ``path:line:col: CODE message`` lines + summary."""
     lines = [error.format() for error in report.errors]
     lines += [diagnostic.format() for diagnostic in report.diagnostics]
@@ -53,8 +45,6 @@ def render_human(report: LintReport, *, baselined: int = 0) -> str:
         )
     if report.suppressions_used:
         summary += f", {report.suppressions_used} suppressed"
-    if baselined:
-        summary += f", {baselined} baselined"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -94,13 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="analysis worker processes (default: auto)",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="disable the incremental cache for this run",
@@ -110,25 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         default=DEFAULT_CACHE_NAME,
         help=f"incremental cache path (default: {DEFAULT_CACHE_NAME})",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=None,
-        help=(
-            "baseline file of grandfathered findings (default: "
-            f"{DEFAULT_BASELINE_NAME} when present)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
     )
     parser.add_argument(
         "--rules",
@@ -152,54 +116,19 @@ def run_lint(
     paths: Sequence[str],
     output_format: str = "human",
     *,
-    jobs: int | None = None,
     cache_file: str | None = DEFAULT_CACHE_NAME,
-    baseline_file: str | None = None,
-    no_baseline: bool = False,
-    update_baseline: bool = False,
     out: str | None = None,
 ) -> int:
     """Lint ``paths`` and print a report; returns the exit code."""
     started = time.perf_counter()
-    report = lint_paths(paths, cache_path=cache_file, jobs=jobs)
+    report = lint_paths(paths, cache_path=cache_file)
     elapsed = time.perf_counter() - started
     print(
         f"replint: analyzed {report.cache_misses} file(s), "
         f"{report.cache_hits} cached, {elapsed:.2f}s",
         file=sys.stderr,
     )
-
-    if update_baseline:
-        target = Path(baseline_file or DEFAULT_BASELINE_NAME)
-        n_entries = write_baseline(report, target)
-        print(
-            f"replint: wrote {n_entries} baseline entr"
-            f"{'y' if n_entries == 1 else 'ies'} to {target}",
-            file=sys.stderr,
-        )
-        return 0
-
-    baselined = 0
-    baseline_path = (
-        None
-        if no_baseline
-        else (
-            Path(baseline_file)
-            if baseline_file is not None
-            else (
-                Path(DEFAULT_BASELINE_NAME)
-                if Path(DEFAULT_BASELINE_NAME).is_file()
-                else None
-            )
-        )
-    )
-    if baseline_path is not None:
-        report, baselined = apply_baseline(report, baseline_path)
-
-    if output_format == "human":
-        print(render_human(report, baselined=baselined))
-    else:
-        print(_render(report, output_format))
+    print(_render(report, output_format))
     if out is not None:
         out_format = "sarif" if out.endswith(".sarif") else output_format
         Path(out).write_text(_render(report, out_format) + "\n")
@@ -225,11 +154,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     return run_lint(
         args.paths,
         args.output_format,
-        jobs=args.jobs,
         cache_file=None if args.no_cache else args.cache_file,
-        baseline_file=args.baseline,
-        no_baseline=args.no_baseline,
-        update_baseline=args.update_baseline,
         out=args.out,
     )
 

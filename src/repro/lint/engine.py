@@ -1,6 +1,6 @@
 """The replint engine: discovery, per-file analysis, flow pass, resolve.
 
-A lint run is two phases. **Per file** (cacheable, parallelizable):
+A lint run is two phases. **Per file** (cacheable):
 parse source → run every per-file rule (RPL001–RPL005) → parse the
 suppression table → build the module's call-graph summary. **Per
 project** (always recomputed — it is cheap and inherently global): feed
@@ -14,8 +14,7 @@ The per-file phase is incremental: with a cache path set, files whose
 content hash is unchanged replay their stored analysis (diagnostics
 *pre*-suppression plus the module summary), so a warm run re-parses
 nothing yet still runs the full flow pass — byte-identical output,
-several times faster. Misses are analyzed in a process pool when the
-batch is large enough to pay for one.
+several times faster. Misses are analyzed serially, in discovery order.
 
 Directory arguments are walked recursively, skipping
 :data:`~repro.lint.tables.SKIP_DIRS` (notably ``fixtures``, so the
@@ -35,8 +34,6 @@ The run is itself instrumented: when a metrics registry is installed
 from __future__ import annotations
 
 import ast
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -54,9 +51,6 @@ from repro.lint.tables import SKIP_DIRS
 from repro.obs import counters
 
 UNUSED_SUPPRESSION = "RPL006"
-
-#: Below this many cache misses a process pool costs more than it saves.
-_PARALLEL_THRESHOLD = 24
 
 
 @dataclass(frozen=True)
@@ -236,19 +230,6 @@ def analyze_source(
     return analysis
 
 
-def _analysis_worker(
-    payload: tuple[str, str, str | None, str],
-) -> dict[str, Any]:
-    """Pool worker: analyze one file, return the serialized analysis.
-
-    Top-level and dict-returning on purpose — picklable in, picklable
-    out, no shared state touched (the dict codec is the same one the
-    cache uses).
-    """
-    source, path, module_name, sha256 = payload
-    return analyze_source(source, path, module_name, sha256).to_dict()
-
-
 # -- phase 2: flow pass + resolve -------------------------------------------
 
 
@@ -362,23 +343,15 @@ def iter_python_files(root: Path) -> Iterable[Path]:
         yield path
 
 
-def _auto_jobs(n_misses: int) -> int:
-    if n_misses < _PARALLEL_THRESHOLD:
-        return 1
-    return max(1, min(8, (os.cpu_count() or 2) - 1))
-
-
 def lint_paths(
     paths: Sequence[str | Path],
     *,
     cache_path: str | Path | None = None,
-    jobs: int | None = None,
 ) -> LintReport:
     """Lint files and directory trees; the CLI's entry point.
 
     ``cache_path`` turns on the incremental cache (created on first
-    use); ``jobs`` forces the analysis worker count (``None`` = serial
-    below :data:`_PARALLEL_THRESHOLD` misses, a small pool above).
+    use).
     """
     report = LintReport()
 
@@ -432,15 +405,8 @@ def lint_paths(
             )
         )
 
-    n_jobs = _auto_jobs(len(misses)) if jobs is None else max(1, jobs)
-    if n_jobs > 1 and len(misses) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for blob in pool.map(_analysis_worker, misses, chunksize=8):
-                analysis = FileAnalysis.from_dict(blob)
-                analyses[analysis.path] = analysis
-    else:
-        for payload in misses:
-            analyses[payload[1]] = analyze_source(*payload)
+    for payload in misses:
+        analyses[payload[1]] = analyze_source(*payload)
 
     if cache_file is not None:
         # merge into the on-disk entries so runs over different roots

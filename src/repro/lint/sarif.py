@@ -38,7 +38,7 @@ def _rule_table() -> list[dict[str, Any]]:
             "name": "unused-suppression",
             "shortDescription": {
                 "text": (
-                    "a '# replint: ignore[...]' comment or baseline entry "
+                    "a '# replint: ignore[...]' comment "
                     "that suppressed nothing"
                 )
             },

@@ -100,14 +100,20 @@ async def read_request(reader: Any) -> Request | None:
     for line in lines[1:]:
         if not line:
             continue
-        name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name, colon, value = line.partition(":")
+        if not colon:
+            return None
+        key, value = name.strip().lower(), value.strip()
+        if key == "content-length" and headers.get(key, value) != value:
+            return None  # conflicting framing (RFC 9112 section 6.3)
+        headers[key] = value
+    # Only a plain run of ASCII digits frames a body: ``int()`` would also
+    # accept signs, underscores and padding.
     length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
+    if not (length_text.isascii() and length_text.isdigit()):
         return None
-    if length < 0 or length > MAX_BODY_BYTES:
+    length = int(length_text)
+    if length > MAX_BODY_BYTES:
         return None
     body = b""
     if length:

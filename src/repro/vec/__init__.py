@@ -1,43 +1,15 @@
-"""Flat array / bitmask substrate for the vectorized solver strategies.
+"""Flat array substrate for the solvers' hot loops.
 
 ``repro.vec`` is a *leaf* layer (see ``repro.lint.tables.LAYER_DAG``): it
 imports nothing from the rest of the package so the solver layers above
-can depend on it freely. It contributes three small pieces:
+can depend on it freely. Its one module, :mod:`repro.vec.backend`, holds
+the numpy kernels (CSR gathers and segment counts). It is the only place
+in the layer that touches numpy, and replint RPL002 polices who may
+import it.
 
-* :mod:`repro.vec.strategy` — the scalar/vector strategy switch (the env
-  flag, the auto-switch threshold, and the resolver every dual-path call
-  site shares);
-* :mod:`repro.vec.bitset` — int-bitmask set algebra over user indices
-  (the pure-stdlib representation of session membership);
-* :mod:`repro.vec.backend` — the optional numpy backend. This is the
-  only module in the layer that touches numpy, and replint RPL002
-  polices who may import it.
-
-The contract everywhere: the vectorized strategies are *bit-identical*
-to their scalar twins — same selections, same ``float.hex`` loads, same
-traces. ``tests/core/test_vector_equivalence.py`` enforces it.
+Every kernel is exact — integer arithmetic, comparisons and first-max
+scans only — so the array-backed solvers are *bit-identical* to the
+scalar reference functions kept beside them: same selections, same
+``float.hex`` loads, same counters. ``tests/core/test_vector_equivalence.py``
+enforces it.
 """
-
-from repro.vec.bitset import (
-    mask_count,
-    mask_from_indices,
-    mask_to_indices,
-)
-from repro.vec.strategy import (
-    SCALAR,
-    VECTOR,
-    VECTOR_SIZE_THRESHOLD,
-    numpy_enabled,
-    resolve_strategy,
-)
-
-__all__ = [
-    "SCALAR",
-    "VECTOR",
-    "VECTOR_SIZE_THRESHOLD",
-    "mask_count",
-    "mask_from_indices",
-    "mask_to_indices",
-    "numpy_enabled",
-    "resolve_strategy",
-]

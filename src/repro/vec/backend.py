@@ -1,14 +1,12 @@
-"""The optional numpy backend for the vector strategies.
+"""The numpy kernels behind the array-backed solver loops.
 
 This is the *only* module in :mod:`repro.vec` that imports numpy; the
 RPL002 layering table names ``vec`` a leaf and polices which layers may
 import it, so every numpy-accelerated hot path is reachable from one
-greppable choke point. The backend is behind a runtime flag
-(:func:`repro.vec.strategy.numpy_enabled`, env ``REPRO_VEC_NUMPY``):
-with the flag off, the vector strategies fall back to the pure stdlib
-``array``/bitmask code paths and must produce bit-identical results —
-every kernel here is exact (integer arithmetic, comparisons and
-first-max scans only; no float accumulation).
+greppable choke point. Every kernel here is exact (integer arithmetic,
+comparisons and first-max scans only; no float accumulation), so the
+array-backed loops reproduce their scalar reference functions bit for
+bit.
 """
 
 from __future__ import annotations
@@ -51,8 +49,9 @@ def segment_counts(
 
 def first_argmax(values: np.ndarray) -> int:
     """Index of the first maximum — numpy's tie rule matches the scalar
-    ``value > best`` scan, so both strategies break ties identically."""
-    return int(np.argmax(values))
+    ``value > best`` scan, so the array loops and their scalar references
+    break ties identically."""
+    return int(values.argmax())
 
 
 def subtract_at(counts: np.ndarray, indices: np.ndarray) -> None:
@@ -69,35 +68,16 @@ def gather_segments(
     segment contents keep their internal order and segments appear in
     ``keys`` order.
     """
-    if keys.size == 0:
-        return np.empty(0, dtype=data.dtype)
-    counts = offsets[keys + 1] - offsets[keys]
-    total = int(counts.sum())
+    starts = offsets[keys]
+    counts = offsets[keys + 1] - starts
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=data.dtype)
-    starts = np.repeat(offsets[keys], counts)
-    ends_before = np.repeat(np.cumsum(counts) - counts, counts)
-    positions = starts + (np.arange(total, dtype=np.int64) - ends_before)
-    return data[positions]
-
-
-def mask_to_bits(mask: np.ndarray) -> int:
-    """A bool mask as the equivalent int bitmask (bit ``i`` = ``mask[i]``)."""
-    if mask.size == 0:
-        return 0
-    packed = np.packbits(mask, bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def bits_to_mask(bits: int, n: int) -> np.ndarray:
-    """An int bitmask as a bool mask of length ``n``."""
-    if n == 0:
-        return np.zeros(0, dtype=bool)
-    raw = bits.to_bytes((n + 7) // 8, "little")
-    unpacked = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8), bitorder="little"
-    )
-    return unpacked[:n].astype(bool)
+    # Output position p inside key i's run reads
+    # data[starts[i] + p - (ends[i] - counts[i])].
+    shift = (starts - ends + counts).repeat(counts)
+    return data[shift + np.arange(total, dtype=np.int64)]
 
 
 def invert_csr(

@@ -3,11 +3,11 @@
 Four cross-checks, each pitting two implementations of the same
 mathematical object against each other:
 
-* :func:`scalar_vs_vector` — the dual-strategy contract: every solver
-  forced onto its array-backed (vectorized) hot path must reproduce the
-  scalar reference implementation bit for bit — the user→AP map, the
-  per-AP load vector down to ``float.hex``, and the instrumentation
-  counters (strategy-switch markers aside).
+* :func:`scalar_vs_vector` — the reference contract: every production
+  solver, whose hot loops run on numpy arrays, must reproduce its scalar
+  reference function (``solve_*_reference``) bit for bit — the user→AP
+  map, the per-AP load vector down to ``float.hex``, and the
+  instrumentation counters.
 * :func:`sharded_vs_monolithic` — the sharded engine's exactness contract:
   stitched solves must equal :func:`~repro.core.mnu.solve_mnu` /
   :func:`~repro.core.bla.solve_bla` / :func:`~repro.core.mla.solve_mla`
@@ -31,14 +31,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.core.assignment import Assignment
-from repro.core.bla import solve_bla
+from repro.core.bla import solve_bla, solve_bla_reference
 from repro.core.distributed import run_distributed
 from repro.core.errors import ModelError
-from repro.core.mla import solve_mla
-from repro.core.mnu import solve_mnu
+from repro.core.mla import solve_mla, solve_mla_reference
+from repro.core.mnu import solve_mnu, solve_mnu_reference
 from repro.core.problem import MulticastAssociationProblem
 from repro.engine import ShardedEngine
 from repro.obs import collecting
@@ -115,64 +115,60 @@ def _eligible_objectives(
     return chosen
 
 
-_STRATEGY_SOLVERS = {
-    "mnu": lambda p, s: solve_mnu(p, strategy=s).assignment,
-    "bla": lambda p, s: solve_bla(p, strategy=s).assignment,
-    "mla": lambda p, s: solve_mla(p, strategy=s).assignment,
+_REFERENCE = {
+    "mnu": lambda p: solve_mnu_reference(p).assignment,
+    "bla": lambda p: solve_bla_reference(p).assignment,
+    "mla": lambda p: solve_mla_reference(p).assignment,
 }
 
 
 def _solve_with_counters(
-    objective: str, problem: MulticastAssociationProblem, strategy: str
+    solve: Callable[[MulticastAssociationProblem], Assignment],
+    problem: MulticastAssociationProblem,
 ) -> tuple[Assignment, dict[str, float]]:
-    """One forced-strategy solve plus its counters, switch markers dropped."""
+    """One solve plus the instrumentation counters it emitted."""
     with collecting() as session:
-        assignment = _STRATEGY_SOLVERS[objective](problem, strategy)
-    counters = {
-        name: value
-        for name, value in session.metrics.counters().items()
-        if not name.endswith(".strategy_switches")
-    }
-    return assignment, counters
+        assignment = solve(problem)
+    return assignment, dict(session.metrics.counters())
 
 
 def scalar_vs_vector(
     problem: MulticastAssociationProblem,
     objectives: Sequence[str] = ("mnu", "bla", "mla"),
 ) -> OracleReport:
-    """Cross-check each solver's vectorized twin against its scalar one.
+    """Cross-check each production solver against its scalar reference.
 
-    Both strategies are forced explicitly (no auto threshold), and the
-    comparison is exact — user→AP maps must be equal, per-AP loads must
-    match on ``float.hex`` (bit identity, not tolerance), and the
-    instrumentation counters must agree except for the
-    ``*.strategy_switches`` markers that record the dispatch itself.
+    The comparison is exact — user→AP maps must be equal, per-AP loads
+    must match on ``float.hex`` (bit identity, not tolerance), and the
+    instrumentation counters must agree.
     """
     discrepancies: list[Discrepancy] = []
     stats: dict[str, float] = {}
     for objective in _eligible_objectives(problem, objectives):
-        scalar, scalar_counters = _solve_with_counters(
-            objective, problem, "scalar"
+        reference, reference_counters = _solve_with_counters(
+            _REFERENCE[objective], problem
         )
-        vector, vector_counters = _solve_with_counters(
-            objective, problem, "vector"
+        production, production_counters = _solve_with_counters(
+            _MONOLITHIC[objective], problem
         )
-        stats[f"{objective}_value"] = _objective_value(objective, scalar)
-        if scalar.ap_of_user != vector.ap_of_user:
+        stats[f"{objective}_value"] = _objective_value(objective, reference)
+        if reference.ap_of_user != production.ap_of_user:
             discrepancies.append(
                 Discrepancy(
                     "scalar-vs-vector",
                     f"{objective}-map-mismatch",
-                    f"vectorized {objective} user→AP map differs from the "
+                    f"production {objective} user→AP map differs from the "
                     "scalar reference",
                 )
             )
-        scalar_hex = [load.hex() for load in scalar.loads()]
-        vector_hex = [load.hex() for load in vector.loads()]
-        if scalar_hex != vector_hex:
+        reference_hex = [load.hex() for load in reference.loads()]
+        production_hex = [load.hex() for load in production.loads()]
+        if reference_hex != production_hex:
             first = next(
                 index
-                for index, (a, b) in enumerate(zip(scalar_hex, vector_hex))
+                for index, (a, b) in enumerate(
+                    zip(reference_hex, production_hex)
+                )
                 if a != b
             )
             discrepancies.append(
@@ -180,15 +176,17 @@ def scalar_vs_vector(
                     "scalar-vs-vector",
                     f"{objective}-load-mismatch",
                     f"{objective} load of AP {first} differs bitwise: "
-                    f"scalar {scalar_hex[first]} != vector "
-                    f"{vector_hex[first]}",
+                    f"reference {reference_hex[first]} != production "
+                    f"{production_hex[first]}",
                 )
             )
-        if scalar_counters != vector_counters:
+        if reference_counters != production_counters:
+            names = reference_counters.keys() | production_counters.keys()
             differing = sorted(
                 name
-                for name in scalar_counters.keys() | vector_counters.keys()
-                if scalar_counters.get(name) != vector_counters.get(name)
+                for name in names
+                if reference_counters.get(name)
+                != production_counters.get(name)
             )
             discrepancies.append(
                 Discrepancy(

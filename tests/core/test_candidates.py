@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -170,12 +169,7 @@ def family_bytes(family):
 @settings(max_examples=200, deadline=None)
 @given(policy_problems())
 def test_one_pass_family_matches_scalar_bytes(problem):
-    previous = os.environ.pop("REPRO_VEC_NUMPY", None)
-    try:
-        family = build_family(problem, strategy="vector")
-    finally:
-        if previous is not None:
-            os.environ["REPRO_VEC_NUMPY"] = previous
+    family = build_family(problem)
     reference = CandidateFamily.from_candidates(
         build_candidates(problem), n_users=problem.n_users, n_aps=problem.n_aps
     )

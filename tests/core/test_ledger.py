@@ -17,12 +17,8 @@ import pytest
 from repro.core.assignment import Assignment
 from repro.core.candidates import CandidateSet
 from repro.core.errors import ModelError
-from repro.core.ledger import (
-    LEDGER_CHECK_ENV,
-    CandidateGainIndex,
-    LoadLedger,
-    ledger_check_enabled,
-)
+from repro.core.instrument import SANITIZE_ENV
+from repro.core.ledger import CandidateGainIndex, LoadLedger
 from repro.core.problem import MulticastAssociationProblem, Session
 from repro.verify.certificates import _recompute_group_loads
 from tests.conftest import paper_example_problem, random_problem
@@ -185,14 +181,6 @@ class TestMutation:
 
 
 class TestDebugInvariant:
-    def test_env_flag_parsing(self, monkeypatch):
-        monkeypatch.delenv(LEDGER_CHECK_ENV, raising=False)
-        assert not ledger_check_enabled()
-        monkeypatch.setenv(LEDGER_CHECK_ENV, "0")
-        assert not ledger_check_enabled()
-        monkeypatch.setenv(LEDGER_CHECK_ENV, "1")
-        assert ledger_check_enabled()
-
     def test_check_catches_corruption(self):
         p = paper_example_problem(1.0)
         ledger = LoadLedger(p, [0, 0, None, None, None], check=True)
@@ -202,7 +190,7 @@ class TestDebugInvariant:
             ledger.verify_against_recompute()
 
     def test_checked_construction_from_env(self, monkeypatch):
-        monkeypatch.setenv(LEDGER_CHECK_ENV, "1")
+        monkeypatch.setenv(SANITIZE_ENV, "1")
         p = paper_example_problem(1.0)
         ledger = LoadLedger(p, [0, 0, 1, 1, 1])
         assert ledger._check

@@ -1,33 +1,31 @@
-"""Scalar == vector, bit for bit, on every array-backed hot path.
+"""Production == reference, bit for bit, on every array-backed hot path.
 
-The dual-strategy contract (docs/architecture.md, "vectorized
-strategies"): every solver hot path ships a scalar reference loop and an
-array-backed twin, and the two must be *indistinguishable* — same
-user→AP maps, same ``float.hex`` loads, same selection orders, same
-instrumentation counters (the ``*.strategy_switches`` dispatch markers
-aside), same error messages. Hypothesis drives ≥200 random instances
-through each path, and every comparison runs under both
-``REPRO_VEC_NUMPY`` settings so the pure-stdlib fallback is held to the
-same standard as the numpy backend.
+The reference contract (docs/architecture.md, "one implementation per
+hot loop"): the production solvers run their hot loops on numpy arrays,
+and each keeps a scalar reference function beside it that no production
+call reaches. The two must be *indistinguishable* — same user→AP maps,
+same ``float.hex`` loads, same selection orders, same instrumentation
+counters, same error messages. Hypothesis drives 200 random instances
+through each pair. Materialization and stitching run scalar loops in
+production; they are checked against a declarative restatement of their
+contract instead.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import from_selected_sets
-from repro.core.bla import solve_bla
-from repro.core.candidates import build_candidates, build_family
+from repro.core.bla import solve_bla, solve_bla_reference
+from repro.core.candidates import CandidateFamily, build_candidates, build_family
 from repro.core.errors import CoverageError, ModelError
 from repro.core.mcg import greedy_mcg, greedy_mcg_flat
-from repro.core.mla import solve_mla
-from repro.core.mnu import solve_mnu
+from repro.core.mla import solve_mla, solve_mla_reference
+from repro.core.mnu import solve_mnu, solve_mnu_reference
 from repro.core.problem import MulticastAssociationProblem, Session
 from repro.core.setcover import greedy_set_cover, greedy_set_cover_flat
 from repro.engine.shard import stitch_assignment
@@ -39,30 +37,11 @@ BUDGETS = (math.inf, 1.5, 0.9, 0.5)
 N_EXAMPLES = 200
 
 
-@contextmanager
-def numpy_backend(enabled: bool):
-    """Force ``REPRO_VEC_NUMPY`` for the duration of the block."""
-    previous = os.environ.get("REPRO_VEC_NUMPY")
-    os.environ["REPRO_VEC_NUMPY"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ["REPRO_VEC_NUMPY"]
-        else:
-            os.environ["REPRO_VEC_NUMPY"] = previous
-
-
 def run_with_counters(fn):
-    """Call ``fn`` under a fresh obs session; drop the dispatch markers."""
+    """Call ``fn`` under a fresh obs session; return it with its counters."""
     with collecting() as session:
         result = fn()
-    counters = {
-        name: value
-        for name, value in session.metrics.counters().items()
-        if not name.endswith(".strategy_switches")
-    }
-    return result, counters
+    return result, dict(session.metrics.counters())
 
 
 @st.composite
@@ -95,26 +74,31 @@ def assert_same_assignment(scalar, vector):
     ]
 
 
+def assert_same_assignment(reference, production):
+    assert reference.ap_of_user == production.ap_of_user
+    assert [x.hex() for x in reference.loads()] == [
+        x.hex() for x in production.loads()
+    ]
+
+
 # -- candidate-set construction -----------------------------------------------
 
 
 @settings(max_examples=N_EXAMPLES, deadline=None)
 @given(problems())
 def test_build_family_identical(problem):
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            scalar = build_family(problem, strategy="scalar")
-            vector = build_family(problem, strategy="vector")
-        assert list(scalar.ap) == list(vector.ap)
-        assert list(scalar.session) == list(vector.session)
-        assert [x.hex() for x in scalar.tx_rate] == [
-            x.hex() for x in vector.tx_rate
-        ]
-        assert [x.hex() for x in scalar.cost] == [
-            x.hex() for x in vector.cost
-        ]
-        assert list(scalar.offsets) == list(vector.offsets)
-        assert list(scalar.members) == list(vector.members)
+    reference = CandidateFamily.from_candidates(
+        build_candidates(problem), n_users=problem.n_users, n_aps=problem.n_aps
+    )
+    family = build_family(problem)
+    assert list(reference.ap) == list(family.ap)
+    assert list(reference.session) == list(family.session)
+    assert [x.hex() for x in reference.tx_rate] == [
+        x.hex() for x in family.tx_rate
+    ]
+    assert [x.hex() for x in reference.cost] == [x.hex() for x in family.cost]
+    assert list(reference.offsets) == list(family.offsets)
+    assert list(reference.members) == list(family.members)
 
 
 # -- MCG greedy coverage ------------------------------------------------------
@@ -129,19 +113,17 @@ def test_mcg_flat_matches_scalar(problem, split):
     scalar, scalar_counters = run_with_counters(
         lambda: greedy_mcg(candidates, budgets, ground, split=split)
     )
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            family = build_family(problem, strategy="scalar")
-            flat, flat_counters = run_with_counters(
-                lambda: greedy_mcg_flat(family, budgets, split=split)
-            )
-            vector = flat.to_mcg_result(family)
-        assert vector.selected == scalar.selected
-        assert vector.within_budget == scalar.within_budget
-        assert vector.overshooting == scalar.overshooting
-        assert vector.chosen == scalar.chosen
-        assert vector.covered == scalar.covered
-        assert flat_counters == scalar_counters
+    family = build_family(problem)
+    flat, flat_counters = run_with_counters(
+        lambda: greedy_mcg_flat(family, budgets, split=split)
+    )
+    vector = flat.to_mcg_result(family)
+    assert vector.selected == scalar.selected
+    assert vector.within_budget == scalar.within_budget
+    assert vector.overshooting == scalar.overshooting
+    assert vector.chosen == scalar.chosen
+    assert vector.covered == scalar.covered
+    assert flat_counters == scalar_counters
 
 
 # -- set cover ----------------------------------------------------------------
@@ -155,21 +137,19 @@ def test_setcover_flat_matches_scalar(problem):
     scalar, scalar_counters = run_with_counters(
         lambda: greedy_set_cover(candidates, ground)
     )
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            family = build_family(problem, strategy="scalar")
-            (chosen, total_cost), flat_counters = run_with_counters(
-                lambda: greedy_set_cover_flat(family)
-            )
-        assert [family.candidate(k) for k in chosen] == list(scalar.selected)
-        assert total_cost.hex() == scalar.total_cost.hex()
-        assert flat_counters == scalar_counters
+    family = build_family(problem)
+    (chosen, total_cost), flat_counters = run_with_counters(
+        lambda: greedy_set_cover_flat(family)
+    )
+    assert [family.candidate(k) for k in chosen] == list(scalar.selected)
+    assert total_cost.hex() == scalar.total_cost.hex()
+    assert flat_counters == scalar_counters
 
 
 @settings(max_examples=N_EXAMPLES, deadline=None)
 @given(problems(max_users=8), st.integers(min_value=0, max_value=7))
 def test_setcover_coverage_error_parity(problem, isolated):
-    """An isolated user raises the same CoverageError from both twins."""
+    """An isolated user raises the same CoverageError from both loops."""
     isolated %= problem.n_users
     link = [
         [
@@ -187,12 +167,9 @@ def test_setcover_coverage_error_parity(problem, isolated):
     ground = set(range(broken.n_users))
     with pytest.raises(CoverageError) as scalar_error:
         greedy_set_cover(build_candidates(broken), ground)
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            family = build_family(broken, strategy="scalar")
-            with pytest.raises(CoverageError) as flat_error:
-                greedy_set_cover_flat(family)
-        assert str(flat_error.value) == str(scalar_error.value)
+    with pytest.raises(CoverageError) as flat_error:
+        greedy_set_cover_flat(build_family(broken))
+    assert str(flat_error.value) == str(scalar_error.value)
 
 
 # -- the solvers end to end ---------------------------------------------------
@@ -203,96 +180,91 @@ def test_setcover_coverage_error_parity(problem, isolated):
 def test_solve_mnu_equivalence(problem, augment):
     if not all(map(math.isfinite, problem.budgets)):
         return  # MNU needs finite budgets to be meaningful
-    scalar, scalar_counters = run_with_counters(
-        lambda: solve_mnu(problem, augment=augment, strategy="scalar")
+    reference, reference_counters = run_with_counters(
+        lambda: solve_mnu_reference(problem, augment=augment)
     )
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            vector, vector_counters = run_with_counters(
-                lambda: solve_mnu(problem, augment=augment, strategy="vector")
-            )
-        assert_same_assignment(scalar.assignment, vector.assignment)
-        assert vector_counters == scalar_counters
+    production, production_counters = run_with_counters(
+        lambda: solve_mnu(problem, augment=augment)
+    )
+    assert_same_assignment(reference.assignment, production.assignment)
+    assert production_counters == reference_counters
 
 
 @settings(max_examples=N_EXAMPLES, deadline=None)
 @given(problems())
 def test_solve_mla_equivalence(problem):
-    scalar, scalar_counters = run_with_counters(
-        lambda: solve_mla(problem, strategy="scalar")
+    reference, reference_counters = run_with_counters(
+        lambda: solve_mla_reference(problem)
     )
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            vector, vector_counters = run_with_counters(
-                lambda: solve_mla(problem, strategy="vector")
-            )
-        assert_same_assignment(scalar.assignment, vector.assignment)
-        assert vector_counters == scalar_counters
+    production, production_counters = run_with_counters(
+        lambda: solve_mla(problem)
+    )
+    assert_same_assignment(reference.assignment, production.assignment)
+    assert production_counters == reference_counters
 
 
 @settings(max_examples=N_EXAMPLES, deadline=None)
 @given(problems(max_aps=4, max_users=8), st.booleans())
 def test_solve_bla_equivalence(problem, local_search):
-    scalar, scalar_counters = run_with_counters(
-        lambda: solve_bla(
-            problem, local_search=local_search, strategy="scalar"
-        )
+    reference, reference_counters = run_with_counters(
+        lambda: solve_bla_reference(problem, local_search=local_search)
     )
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            vector, vector_counters = run_with_counters(
-                lambda: solve_bla(
-                    problem, local_search=local_search, strategy="vector"
-                )
-            )
-        assert_same_assignment(scalar.assignment, vector.assignment)
-        assert vector_counters == scalar_counters
+    production, production_counters = run_with_counters(
+        lambda: solve_bla(problem, local_search=local_search)
+    )
+    assert_same_assignment(reference.assignment, production.assignment)
+    assert production_counters == reference_counters
 
 
 # -- assignment materialization and stitching ---------------------------------
 
 
 @settings(max_examples=N_EXAMPLES, deadline=None)
-@given(problems())
-def test_from_selected_sets_equivalence(problem):
+@given(problems(), st.randoms(use_true_random=False))
+def test_from_selected_sets_equivalence(problem, rng):
+    """Each user joins the AP of the first selection holding it at its
+    highest link rate, whatever order the selections arrive in."""
     selections = [
         (c.ap, c.session, c.tx_rate, c.users)
         for c in build_candidates(problem)
     ]
-    scalar = from_selected_sets(problem, selections, strategy="scalar")
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            vector = from_selected_sets(
-                problem, selections, strategy="vector"
-            )
-        assert_same_assignment(scalar, vector)
+    rng.shuffle(selections)
+    expected = []
+    for user in range(problem.n_users):
+        holding = [i for i, sel in enumerate(selections) if user in sel[3]]
+        if not holding:
+            expected.append(None)
+            continue
+        best = max(
+            holding,
+            key=lambda i: (problem.link_rate(selections[i][0], user), -i),
+        )
+        expected.append(selections[best][0])
+    assignment = from_selected_sets(problem, selections)
+    assert list(assignment.ap_of_user) == expected
 
 
 @settings(max_examples=N_EXAMPLES, deadline=None)
 @given(problems(), st.randoms(use_true_random=False))
 def test_stitch_equivalence(problem, rng):
-    assignment = solve_mla(problem, strategy="scalar").assignment
+    """Stitching reproduces the map the pairs describe, in any order, and
+    blames the first conflicting pair of a bad input."""
+    assignment = solve_mla(problem).assignment
     pairs = [
         (user, ap)
         for user, ap in enumerate(assignment.ap_of_user)
         if ap is not None
     ]
     rng.shuffle(pairs)
-    scalar = stitch_assignment(problem, pairs, strategy="scalar")
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            vector = stitch_assignment(problem, pairs, strategy="vector")
-        assert_same_assignment(scalar, vector)
+    assert_same_assignment(assignment, stitch_assignment(problem, pairs))
 
     if not pairs or problem.n_aps < 2:
         return
-    # Conflicting duplicate: both twins must blame the same first pair.
     user, ap = pairs[0]
-    conflicting = pairs + [(user, (ap + 1) % problem.n_aps)]
-    with pytest.raises(ModelError) as scalar_error:
-        stitch_assignment(problem, conflicting, strategy="scalar")
-    for use_numpy in (True, False):
-        with numpy_backend(use_numpy):
-            with pytest.raises(ModelError) as vector_error:
-                stitch_assignment(problem, conflicting, strategy="vector")
-        assert str(vector_error.value) == str(scalar_error.value)
+    other = (ap + 1) % problem.n_aps
+    conflicting = pairs + [(user, other)]
+    with pytest.raises(ModelError) as error:
+        stitch_assignment(problem, conflicting)
+    assert str(error.value) == (
+        f"user {user} assigned by two shards ({ap}, {other})"
+    )

@@ -1,6 +1,6 @@
 """Fixture: a vec module importing the solver layer back (RPL002).
 
-``vec`` is a leaf — pure array/bitset kernels with no knowledge of the
+``vec`` is a leaf — pure array kernels with no knowledge of the
 problem domain. A kernel importing ``repro.core`` would let solver
 semantics leak into the backend (and create an import cycle, since core
 dispatches onto vec), so it must fire.

@@ -1,7 +1,7 @@
 """Fixture: a vec kernel importing only within its own leaf layer."""
 
-from repro.vec import bitset
+from repro.vec import backend
 
 
-def popcount(mask):
-    return bitset.mask_count(mask)
+def first_max(values):
+    return backend.first_argmax(values)

@@ -107,7 +107,7 @@ def test_rpl002_service_is_a_top_layer() -> None:
 
 def test_rpl002_vec_is_a_leaf() -> None:
     """vec -> core inverts the DAG and fires; core/engine -> vec is the
-    sanctioned direction (the dual-strategy dispatch)."""
+    sanctioned direction (the solvers' array kernels)."""
     report = lint_file(
         FIXTURES / "rpl002_vec_bad.py", module_name="repro.vec.helper"
     )
@@ -121,7 +121,7 @@ def test_rpl002_vec_is_a_leaf() -> None:
 
     from repro.lint.engine import lint_source
 
-    downward = "from repro.vec import strategy\n_ = strategy\n"
+    downward = "from repro.vec import backend\n_ = backend\n"
     assert lint_source(downward, "x.py", "repro.core.helper").ok
     assert lint_source(downward, "x.py", "repro.engine.helper").ok
     upward = "from repro.obs import counters\n_ = counters\n"

@@ -10,7 +10,7 @@ import pytest
 from repro import obs
 from repro.core import instrument
 from repro.core.errors import SanitizeError
-from repro.core.ledger import LoadLedger, ledger_check_enabled
+from repro.core.ledger import LoadLedger
 from repro.radio.geometry import Area
 from repro.scenarios.generator import generate
 from repro.service import AssociationService, ControlService, Event
@@ -50,9 +50,9 @@ def test_check_raises_and_counts(sanitized) -> None:
 
 
 def test_sanitize_arms_ledger_checks(sanitized, scenario) -> None:
-    assert ledger_check_enabled()
     registry = obs.install().metrics
     ledger = LoadLedger(scenario.problem())
+    assert ledger._check
     ledger.move(0, 1)
     counters = registry.snapshot()["counters"]
     assert counters.get("sanitize.ledger_checks", 0) >= 1

@@ -25,9 +25,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.bla import solve_bla
-from repro.core.mla import solve_mla
-from repro.core.mnu import solve_mnu
+from repro.core.bla import solve_bla, solve_bla_reference
+from repro.core.mla import solve_mla, solve_mla_reference
+from repro.core.mnu import solve_mnu, solve_mnu_reference
 from repro.eval.mobility import MOBILITY_PIN_KIND, replay_mobility_pin
 from repro.verify import replay_corpus_entry
 from repro.verify.certificates import verify_assignment
@@ -103,13 +103,24 @@ def test_corpus_large_entry_oracles_clean(path):
 # the pre-LoadLedger solvers on the scenario and storing every float as
 # ``float.hex()``, so the comparison below is byte-exact, not approximate:
 # the ledger refactor must not move a single bit of solver output.
-_SOLVERS = {
-    "solve_bla": lambda problem: solve_bla(problem).assignment,
-    "solve_mla": lambda problem: solve_mla(problem).assignment,
-    "solve_mnu": lambda problem: solve_mnu(problem).assignment,
-    "solve_mnu+augment": lambda problem: solve_mnu(
-        problem, augment=True
-    ).assignment,
+def _solvers(bla, mla, mnu):
+    return {
+        "solve_bla": lambda problem: bla(problem).assignment,
+        "solve_mla": lambda problem: mla(problem).assignment,
+        "solve_mnu": lambda problem: mnu(problem).assignment,
+        "solve_mnu+augment": lambda problem: mnu(
+            problem, augment=True
+        ).assignment,
+    }
+
+
+# "vector" replays the production solvers, whose hot loops run on numpy
+# arrays; "scalar" replays their scalar reference functions.
+_IMPLEMENTATIONS = {
+    "scalar": _solvers(
+        solve_bla_reference, solve_mla_reference, solve_mnu_reference
+    ),
+    "vector": _solvers(solve_bla, solve_mla, solve_mnu),
 }
 
 
@@ -122,23 +133,20 @@ def _expectation_cases():
             )
 
 
-@pytest.mark.parametrize("strategy", ["scalar", "vector"])
+@pytest.mark.parametrize("implementation", sorted(_IMPLEMENTATIONS))
 @pytest.mark.parametrize("path,solver_name", list(_expectation_cases()))
-def test_corpus_expectations_byte_identical(
-    path, solver_name, strategy, monkeypatch
-):
-    """Replay recorded expectations under BOTH solver strategies.
+def test_corpus_expectations_byte_identical(path, solver_name, implementation):
+    """Replay recorded expectations through the production solvers and
+    through their scalar references.
 
-    The expectations were recorded once (scalar path); the dual-strategy
-    contract says the array-backed twins must reproduce them bit for bit
-    too — so the same byte-exact assertions run with ``REPRO_STRATEGY``
-    forced each way.
+    The expectations were recorded once, on the scalar path. The
+    production solvers must reproduce them bit for bit, and so must the
+    references the differential tests hold production to.
     """
-    monkeypatch.setenv("REPRO_STRATEGY", strategy)
     entry, scenario = load_corpus_entry(str(path))
     expected = entry["expectations"][solver_name]
     problem = scenario.problem()
-    assignment = _SOLVERS[solver_name](problem)
+    assignment = _IMPLEMENTATIONS[implementation][solver_name](problem)
 
     assert list(assignment.ap_of_user) == [
         None if a is None else int(a) for a in expected["ap_of_user"]
