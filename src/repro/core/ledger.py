@@ -16,8 +16,8 @@ greedy solvers, the online controller, and the evaluation metrics.
 * ``delta_if_joined`` / ``delta_if_left`` / ``load_if_joined`` /
   ``load_if_left`` answer the greedy and best-response *gain queries*
   without building throwaway assignments;
-* :class:`CandidateGainIndex` batches the MCG greedy's per-round
-  cost-effectiveness scan over all candidate sets into numpy vector ops.
+* :class:`CandidateGainIndex` keeps the reference MCG greedy's per-round
+  cost-effectiveness table current incrementally, as plain lists.
 
 **Transmission policies.** The kernel is parameterized by each session's
 transmission policy (:data:`repro.core.problem.TX_POLICIES`): ``legacy``
@@ -656,14 +656,6 @@ class LoadLedger:
                 )
 
 
-#: Candidate-family size above which :class:`CandidateGainIndex` switches
-#: from plain-list bookkeeping to numpy arrays. Both strategies perform the
-#: same float64 operations in the same order, so the greedy trace is
-#: bit-identical either way; lists win on small instances (no per-round
-#: array temporaries), vectorization wins on engine-scale families.
-_VECTORIZE_THRESHOLD = 512
-
-
 class CandidateGainIndex:
     """Incremental cost-effectiveness queries for the MCG greedy (Fig. 3).
 
@@ -673,7 +665,9 @@ class CandidateGainIndex:
     ineligible candidates — selected, nothing left to cover, or group
     budget met — pinned at ``-inf``, so one greedy round — "every open
     group nominates its most cost-effective set; take the best" — is a
-    single argmax instead of a scan over all candidates.
+    single argmax over cached floats instead of a recount of every
+    candidate's uncovered members. It backs the list-based reference
+    greedy :func:`~repro.core.mcg.greedy_mcg`.
 
     Selection semantics are bit-identical to the scalar loop it replaced:
     ties break toward the lowest candidate index, and a group is open
@@ -686,17 +680,12 @@ class CandidateGainIndex:
         budgets: Sequence[float],
         ground: set[int],
         initial_group_cost: Sequence[float] | None = None,
-        *,
-        vectorize: bool | None = None,
     ) -> None:
         if initial_group_cost is not None and len(initial_group_cost) != len(
             budgets
         ):
             raise ValueError("one initial cost per group required")
         n = len(candidates)
-        self._vec = (
-            n >= _VECTORIZE_THRESHOLD if vectorize is None else vectorize
-        )
         self._costs: list[float] = [c.cost for c in candidates]
         self._group_of: list[int] = [c.ap for c in candidates]
         self._counts: list[int] = [len(c.users & ground) for c in candidates]
@@ -733,28 +722,6 @@ class CandidateGainIndex:
                 strict=True,
             )
         ]
-        if self._vec:
-            # Mirror the hot state into numpy; the scalar lists above stay
-            # authoritative for group_cost/open bookkeeping (cheap either
-            # way), while counts and effectiveness move wholesale.
-            self._np_counts = np.array(self._counts, dtype=np.int64)
-            self._np_costs = np.array(self._costs, dtype=np.float64)
-            self._np_eff = np.array(self._eff, dtype=np.float64)
-            self._np_incidence = {
-                user: np.array(ks, dtype=np.intp)
-                for user, ks in self._incidence.items()
-            }
-            self._np_group_members = {
-                g: np.array(ks, dtype=np.intp)
-                for g, ks in self._group_members.items()
-            }
-            self._np_available = np.array(self._available, dtype=bool)
-            self._np_group_of = (
-                np.array(self._group_of, dtype=np.intp)
-                if n
-                else np.zeros(0, dtype=np.intp)
-            )
-            self._np_open = np.array(self._open, dtype=bool)
 
     def group_cost(self, group: int) -> float:
         """Accumulated selected cost of ``group`` (plus any initial cost)."""
@@ -766,16 +733,9 @@ class CandidateGainIndex:
         Selectable = not yet selected, covers at least one uncovered
         element, and its group's budget is not yet met or exceeded.
         """
-        if self._vec:
-            if not self._np_eff.size:
-                return -1
-            best = int(np.argmax(self._np_eff))
-            if not self._np_eff[best] > 0.0:
-                return -1
-            return best
-        # Parity note (both paths): strict ``>`` with a 0.0 start means a
-        # set whose effectiveness rounds to zero is never selected, ties
-        # keep the first maximum, and an all ``-inf`` table returns -1.
+        # Strict ``>`` with a 0.0 start means a set whose effectiveness
+        # rounds to zero is never selected, ties keep the first maximum,
+        # and an all ``-inf`` table returns -1.
         best = -1
         best_eff = 0.0
         for k, eff in enumerate(self._eff):
@@ -793,34 +753,6 @@ class CandidateGainIndex:
         )
         if closes:
             self._open[group] = False
-        if self._vec:
-            self._np_available[index] = False
-            self._np_eff[index] = -np.inf
-            touched: np.ndarray | None = None
-            if newly_covered:
-                hit = [
-                    self._np_incidence[user]
-                    for user in newly_covered
-                    if user in self._np_incidence
-                ]
-                if hit:
-                    touched = np.concatenate(hit)
-                    np.subtract.at(self._np_counts, touched, 1)
-            if closes:
-                self._np_open[group] = False
-                self._np_eff[self._np_group_members[group]] = -np.inf
-            if touched is not None:
-                eligible = (
-                    self._np_available[touched]
-                    & (self._np_counts[touched] > 0)
-                    & self._np_open[self._np_group_of[touched]]
-                )
-                self._np_eff[touched] = np.where(
-                    eligible,
-                    self._np_counts[touched] / self._np_costs[touched],
-                    -np.inf,
-                )
-            return
         self._available[index] = False
         self._eff[index] = -math.inf
         hits: list[int] = []

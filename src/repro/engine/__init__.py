@@ -16,8 +16,6 @@ from repro.engine.engine import OBJECTIVES, EngineSolution, ShardedEngine
 from repro.engine.executor import (
     ProcessBackend,
     SerialBackend,
-    ShardedBlaResult,
-    solve_sharded_bla,
     stitch_mla,
     stitch_mnu,
     to_global_picks,
@@ -48,14 +46,12 @@ __all__ = [
     "ShardCache",
     "ShardPlan",
     "ShardProblem",
-    "ShardedBlaResult",
     "ShardedEngine",
     "UnionFind",
     "build_shards",
     "coverage_components",
     "plan_shards",
     "shard_fingerprint",
-    "solve_sharded_bla",
     "stitch_assignment",
     "stitch_mla",
     "stitch_mnu",

@@ -15,10 +15,11 @@ Exactness contract:
   the full user set, whose user→AP maps) are *identical* to the monolithic
   :func:`~repro.core.mnu.solve_mnu` / :func:`~repro.core.mla.solve_mla`,
   with or without the cache, serial or parallel.
-* ``bla`` with ``bla_mode="exact"`` (the default) matches the monolithic
-  :func:`~repro.core.bla.solve_bla` the same way; the global B* search is
-  rerun each solve (only its inner greedy rounds are sharded), so it does
-  not use the per-shard cache.
+* ``bla`` with ``bla_mode="exact"`` (the default) *is* the monolithic
+  :func:`~repro.core.bla.solve_bla`, run on the active sub-problem and
+  mapped back to global indices: its B* search compares global
+  quantities at every step, so it runs once per solve, in-process even
+  when ``parallel=True``, and does not use the per-shard cache.
 * ``bla`` with ``bla_mode="federated"`` runs an independent B* search per
   shard and takes the max over shard max-loads. That *is* per-shard
   cacheable — the incremental mode — but each shard's guess grid adapts to
@@ -35,10 +36,12 @@ changes, so its cache entry simply misses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.core.assignment import Assignment
+from repro.core.bla import solve_bla
 from repro.core.errors import CoverageError, ModelError
 from repro.core.online import ChurnEvent
 from repro.core.problem import MulticastAssociationProblem
@@ -48,7 +51,6 @@ from repro.engine.executor import (
     bla_shard_federated,
     mla_shard_raw,
     mnu_shard_raw,
-    solve_sharded_bla,
     stitch_mla,
     stitch_mnu,
     to_global_picks,
@@ -406,16 +408,29 @@ class ShardedEngine:
     def _solve_bla_exact(
         self, active_set: set[int]
     ) -> tuple[Assignment, int, dict[str, object]]:
-        result = solve_sharded_bla(
+        """The monolithic :func:`solve_bla` on the active sub-problem.
+
+        The B* search compares global quantities at every step, so it
+        runs once over all active users, in-process (no backend, no
+        cache), and the result is mapped back to global user indices.
+        """
+        self._require_coverage(active_set)
+        if not active_set:
+            empty = Assignment(self.problem, [None] * self.problem.n_users)
+            return empty, 0, {"b_star": math.inf, "iterations": 0}
+        sub, keep = self.problem.restricted_to_users(active_set)
+        result = solve_bla(sub)
+        assignment = stitch_assignment(
             self.problem,
-            self.shards,
-            self._backend,
-            active=active_set,
+            (
+                (keep[user], ap)
+                for user, ap in enumerate(result.assignment.ap_of_user)
+                if ap is not None
+            ),
         )
-        live = self._live_shards(active_set)
         return (
-            result.assignment,
-            len(live),
+            assignment,
+            len(self._live_shards(active_set)),
             {"b_star": result.b_star, "iterations": result.iterations},
         )
 

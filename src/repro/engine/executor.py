@@ -9,17 +9,18 @@ monolithic solver would have produced on the whole instance, objective
 value for objective value. The greedy selections themselves decompose over
 coverage components for free (a pick in one component never changes
 cost-effectiveness, budgets, or coverage in another), but two decisions in
-the paper's algorithms are genuinely global, and this module re-applies
-them across shards rather than per shard:
+the paper's algorithms are genuinely global:
 
 * **MNU** — the H1/H2 split of Theorem 2 compares the *total* coverage of
   the within-budget and overshooting selections. Each shard therefore
-  reports both halves raw, and the engine picks one side globally.
+  reports both halves raw, and :func:`stitch_mnu` picks one side globally.
 * **BLA** — the B* guess grid, the per-iteration H1/H2 choice inside the
   iterated-MNU loop, the feasibility verdict, the incumbent update and the
-  final rebalance guard all compare global quantities. The engine reruns
-  the *whole* Fig.-6 search here, dispatching only the per-shard greedy
-  rounds to the backend.
+  final rebalance guard all compare global quantities. Exact BLA
+  therefore does not run here at all: the engine calls the monolithic
+  :func:`~repro.core.bla.solve_bla` on the active sub-problem, in-process
+  even when the backend is a process pool. Only the federated mode's
+  independent per-shard searches (:func:`bla_shard_federated`) fan out.
 
 MLA has no global decision at all; per-shard ``CostSC`` runs concatenate
 into exactly the monolithic cover.
@@ -31,27 +32,16 @@ path provably returns the same stitched assignment as the serial one.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.assignment import Assignment, from_selected_sets
-from repro.core.bla import (
-    assignment_from_cover,
-    max_iterations,
-    solve_bla,
-)
-from repro.core.candidates import CandidateSet, build_candidates, restrict_to_users
-from repro.core.errors import CoverageError, SolverError
-from repro.core.mcg import greedy_mcg
+from repro.core.bla import solve_bla
+from repro.core.candidates import CandidateSet
 from repro.core.mla import mla_cover
 from repro.core.mnu import augment_assignment, solve_mnu
 from repro.core.problem import MulticastAssociationProblem
-from repro.engine.shard import Shard, ShardProblem, stitch_assignment
-from repro.obs import counters as metrics
-from repro.obs import trace as tracing
-from repro.obs.remote import instrumented_map
+from repro.engine.shard import ShardProblem
 
 #: One selected candidate set, flattened for pickling/caching:
 #: ``(ap, session, tx_rate, cost, users)``.
@@ -179,50 +169,6 @@ def bla_shard_federated(
     )
 
 
-def bla_round(
-    payload: tuple[
-        tuple[CandidateSet, ...], int, float, frozenset[int], tuple[float, ...]
-    ],
-) -> tuple[tuple[SetPick, ...], tuple[SetPick, ...]]:
-    """One budgeted-greedy round of the iterated-MNU loop, on one shard.
-
-    ``payload`` is ``(candidates, n_aps, budget, remaining, accumulated)``
-    in the shard's local indices; returns the within-budget and
-    overshooting halves of the round's selection, in pick order.
-    """
-    candidates, n_aps, budget, remaining, accumulated = payload
-    available = restrict_to_users(candidates, set(remaining))
-    result = greedy_mcg(
-        available,
-        [budget] * n_aps,
-        set(remaining),
-        split=False,
-        initial_group_cost=list(accumulated),
-    )
-    return (
-        tuple(_pick(c) for c in result.within_budget),
-        tuple(_pick(c) for c in result.overshooting),
-    )
-
-
-def rebalance_round(
-    payload: tuple[MulticastAssociationProblem, tuple[int | None, ...]],
-) -> tuple[int | None, ...]:
-    """Sequential BLA best-response dynamics on one shard (local indices)."""
-    from repro.core.distributed import run_distributed
-
-    sub, initial = payload
-    result = run_distributed(
-        sub,
-        "bla",
-        mode="sequential",
-        initial=list(initial),
-        enforce_budgets=False,
-        shuffle_each_round=False,
-    )
-    return tuple(result.assignment.ap_of_user)
-
-
 # -- stitching ---------------------------------------------------------------
 
 
@@ -266,208 +212,3 @@ def stitch_mla(
         selections.extend(shard_selected)
     assignment = from_selected_sets(problem, _selections(selections))
     return assignment.validate(check_budgets=False)
-
-
-# -- the exact sharded BLA search --------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardedBlaResult:
-    """Outcome of the global B* search run over shards."""
-
-    assignment: Assignment
-    b_star: float
-    iterations: int
-
-
-def _check_coverable(
-    problem: MulticastAssociationProblem, active: Sequence[int]
-) -> None:
-    isolated = [u for u in active if not problem.aps_of_user(u)]
-    if isolated:
-        raise CoverageError(isolated)
-
-
-def solve_sharded_bla(
-    problem: MulticastAssociationProblem,
-    shards: Sequence[Shard],
-    backend: SerialBackend | ProcessBackend,
-    *,
-    active: Iterable[int] | None = None,
-    n_guesses: int = 12,
-    refine_steps: int = 12,
-    local_search: bool = True,
-) -> ShardedBlaResult:
-    """Centralized BLA with the per-shard greedy rounds on the backend.
-
-    A faithful port of :func:`repro.core.bla.solve_bla`: same lower bound,
-    same geometric guess grid, same bisection, same incumbent rule, same
-    rebalance guard — every global comparison is made on global quantities,
-    so the stitched result equals the monolithic solver's bit for bit.
-    Only the inner budgeted-greedy rounds (the expensive part) fan out
-    across shards.
-    """
-    active_users = (
-        sorted(set(active)) if active is not None else list(range(problem.n_users))
-    )
-    _check_coverable(problem, active_users)
-    if n_guesses < 1:
-        raise ValueError("need at least one B* guess")
-    if not active_users:
-        return ShardedBlaResult(
-            assignment=Assignment(problem, [None] * problem.n_users),
-            b_star=math.inf,
-            iterations=0,
-        )
-
-    live: list[tuple[Shard, ShardProblem, list[CandidateSet]]] = []
-    for shard in shards:
-        shard_problem = shard.slice(active_users)
-        if shard_problem.problem.n_users == 0:
-            continue
-        live.append((shard, shard_problem, build_candidates(shard_problem.problem)))
-    cap = max_iterations(len(active_users))
-
-    def iterated(b_star: float) -> tuple[list[list[SetPick]], int] | None:
-        """The iterated-MNU loop of Fig. 6, with per-shard greedy rounds."""
-        remaining = [set(range(sp.problem.n_users)) for _, sp, _ in live]
-        accumulated = [[0.0] * sp.problem.n_aps for _, sp, _ in live]
-        picked: list[list[SetPick]] = [[] for _ in live]
-        iterations = 0
-        while any(remaining):
-            if iterations >= cap:
-                return None
-            iterations += 1
-            open_shards = [i for i, rem in enumerate(remaining) if rem]
-            payloads = [
-                (
-                    tuple(live[i][2]),
-                    live[i][1].problem.n_aps,
-                    iterations * b_star,
-                    frozenset(remaining[i]),
-                    tuple(accumulated[i]),
-                )
-                for i in open_shards
-            ]
-            metrics.incr("bla.sharded_rounds")
-            rounds = instrumented_map(
-                backend,
-                bla_round,
-                payloads,
-                "bla.round",
-                iteration=iterations,
-            )
-            # The per-iteration H1/H2 split, applied globally (Theorem 2):
-            h1_cover = sum(len(_covered(w)) for w, _ in rounds)
-            h2_cover = sum(len(_covered(o)) for _, o in rounds)
-            take_h1 = h1_cover >= h2_cover
-            progressed = False
-            for i, (shard_within, shard_over) in zip(open_shards, rounds, strict=True):
-                chosen = shard_within if take_h1 else shard_over
-                picked[i].extend(chosen)
-                newly = _covered(chosen)
-                for ap, _, _, cost, _ in chosen:
-                    accumulated[i][ap] += cost
-                remaining[i] -= newly
-                progressed = progressed or bool(newly)
-            if not progressed:
-                return None  # no shard advanced: the guess is infeasible
-        return picked, iterations
-
-    def stitched(picked: Sequence[Sequence[SetPick]]) -> Assignment:
-        pairs: list[tuple[int, int]] = []
-        for (_, shard_problem, _), shard_picked in zip(live, picked, strict=True):
-            local = assignment_from_cover(
-                shard_problem.problem,
-                [
-                    CandidateSet(
-                        ap=ap,
-                        session=session,
-                        tx_rate=tx_rate,
-                        cost=cost,
-                        users=frozenset(users),
-                    )
-                    for ap, session, tx_rate, cost, users in shard_picked
-                ],
-            )
-            pairs.extend(shard_problem.map_assignment(local.ap_of_user))
-        return stitch_assignment(problem, pairs)
-
-    unconstrained = iterated(math.inf)
-    if unconstrained is None:  # pragma: no cover - excluded by _check_coverable
-        raise SolverError("unconstrained cover failed despite full coverability")
-    best_assignment = stitched(unconstrained[0])
-    best_iterations = unconstrained[1]
-    best_b_star = math.inf
-    best_value = best_assignment.max_load()
-
-    lower = max(problem.min_cost_of_user(u) for u in active_users)
-    upper = max(best_value, lower * (1 + 1e-9))
-
-    def try_guess(b_star: float) -> bool:
-        nonlocal best_assignment, best_b_star, best_value, best_iterations
-        metrics.incr("bla.bstar_probes")
-        with tracing.span("bla.bstar-probe", b_star=b_star, sharded=True):
-            outcome = iterated(b_star)
-        if outcome is None:
-            return False
-        assignment = stitched(outcome[0])
-        value = assignment.max_load()
-        if value < best_value - 1e-15:
-            best_assignment = assignment
-            best_value = value
-            best_b_star = b_star
-            best_iterations = outcome[1]
-        return True
-
-    if upper > lower > 0:
-        ratio = (upper / lower) ** (1.0 / max(n_guesses - 1, 1))
-        feasible_guesses: list[float] = []
-        infeasible_guesses: list[float] = []
-        for i in range(n_guesses):
-            guess = lower * ratio**i
-            if try_guess(guess):
-                feasible_guesses.append(guess)
-            else:
-                infeasible_guesses.append(guess)
-        low = max(infeasible_guesses, default=lower)
-        high = min(feasible_guesses, default=upper)
-        for _ in range(refine_steps):
-            if high - low <= 1e-9:
-                break
-            mid = (low + high) / 2
-            if try_guess(mid):
-                high = mid
-            else:
-                low = mid
-
-    if local_search:
-        payloads = []
-        for shard, shard_problem, _ in live:
-            initial = tuple(
-                None
-                if best_assignment.ap_of(user) is None
-                else shard.local_ap(best_assignment.ap_of(user))
-                for user in shard_problem.users
-            )
-            payloads.append((shard_problem.problem, initial))
-        refined_locals = instrumented_map(
-            backend, rebalance_round, payloads, "bla.rebalance"
-        )
-        pairs = []
-        for (_, shard_problem, _), refined in zip(live, refined_locals, strict=True):
-            pairs.extend(shard_problem.map_assignment(refined))
-        refined_assignment = stitch_assignment(problem, pairs)
-        # The monolithic rebalance guard, on the global load vector:
-        if (
-            refined_assignment.sorted_load_vector()
-            <= best_assignment.sorted_load_vector()
-        ):
-            best_assignment = refined_assignment
-
-    best_assignment.validate(check_budgets=False)
-    return ShardedBlaResult(
-        assignment=best_assignment,
-        b_star=best_b_star,
-        iterations=best_iterations,
-    )

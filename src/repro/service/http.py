@@ -94,6 +94,15 @@ async def read_request(reader: Any) -> Request | None:
     try:
         lines = head.decode("ascii", errors="strict").split("\r\n")
         method, target, _version = lines[0].split(" ", 2)
+        # ``urlsplit`` raises on an unbalanced ``[`` in an authority
+        # (``//[::1/x``), which is a malformed target like any other.
+        parts = urlsplit(target)
+        query = {
+            key: values[-1]
+            for key, values in parse_qs(
+                parts.query, keep_blank_values=True
+            ).items()
+        }
     except ValueError:
         return None
     headers: dict[str, str] = {}
@@ -121,13 +130,6 @@ async def read_request(reader: Any) -> Request | None:
             body = await reader.readexactly(length)
         except Exception:
             return None
-    parts = urlsplit(target)
-    query = {
-        key: values[-1]
-        for key, values in parse_qs(
-            parts.query, keep_blank_values=True
-        ).items()
-    }
     return Request(
         method=method.upper(), path=parts.path, query=query, body=body
     )

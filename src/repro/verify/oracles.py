@@ -288,8 +288,9 @@ def incremental_vs_cold(
     churn batch); by default a generated full ↔ subset sequence with
     revisits so the fingerprint cache actually serves hits. MNU and MLA
     go through the per-shard pick cache; BLA runs in ``federated`` mode,
-    the engine's cacheable BLA path (the ``exact`` mode bypasses the
-    cache by design, so warm == cold trivially there).
+    the engine's cacheable BLA path. The ``exact`` mode is a plain
+    in-process :func:`~repro.core.bla.solve_bla` on the active users,
+    uncached even with ``parallel=True``, so warm == cold trivially there.
     """
     if steps is None:
         steps = _default_membership_steps(problem, seed, n_steps)

@@ -235,53 +235,6 @@ class TestCandidateGainIndex:
         with pytest.raises(ValueError, match="one initial cost per group"):
             CandidateGainIndex(self._candidates(), [1.0, 1.0], set(), [0.0])
 
-    def test_scalar_and_vectorized_traces_identical(self):
-        """The list and numpy strategies replay the same greedy trace.
-
-        Runs a full select-until-exhaustion loop on randomized candidate
-        families with both strategies forced and compares every best()
-        pick and group_cost() reading bit-for-bit.
-        """
-        rng = random.Random(4242)
-        for _ in range(50):
-            n_aps = rng.randint(1, 4)
-            n_users = rng.randint(1, 12)
-            candidates = []
-            for ap in range(n_aps):
-                for _ in range(rng.randint(0, 6)):
-                    users = frozenset(
-                        u for u in range(n_users) if rng.random() < 0.4
-                    ) or frozenset({rng.randrange(n_users)})
-                    candidates.append(
-                        CandidateSet(
-                            ap=ap,
-                            session=0,
-                            tx_rate=rng.choice([2.0, 4.0, 8.0]),
-                            cost=rng.choice([0.25, 0.5, 1.0, 1.5]),
-                            users=users,
-                        )
-                    )
-            budgets = [rng.choice([0.5, 1.0, 2.0]) for _ in range(n_aps)]
-            ground = {u for u in range(n_users) if rng.random() < 0.8}
-            scalar = CandidateGainIndex(
-                candidates, budgets, ground, vectorize=False
-            )
-            vector = CandidateGainIndex(
-                candidates, budgets, ground, vectorize=True
-            )
-            remaining = set(ground)
-            while True:
-                pick_s, pick_v = scalar.best(), vector.best()
-                assert pick_s == pick_v
-                if pick_s < 0:
-                    break
-                newly = candidates[pick_s].users & remaining
-                remaining -= newly
-                scalar.select(pick_s, newly)
-                vector.select(pick_s, newly)
-                for ap in range(n_aps):
-                    assert scalar.group_cost(ap) == vector.group_cost(ap)
-
 
 # -- the Hypothesis property --------------------------------------------------
 

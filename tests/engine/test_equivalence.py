@@ -10,6 +10,7 @@ isolated users, and active-user subsets that empty out entire shards.
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -128,8 +129,14 @@ def test_isolated_users_mnu_left_unserved():
 def test_isolated_users_full_coverage_rejected(objective):
     problem = _with_isolated_user()
     with ShardedEngine(problem) as engine:
-        with pytest.raises(CoverageError):
+        with pytest.raises(CoverageError) as full:
             engine.solve(objective)
+        # Without user 0 the isolated user 2 is local index 1 of the
+        # restricted problem; the error must still name it globally.
+        with pytest.raises(CoverageError) as subset:
+            engine.solve(objective, active=[1, 2])
+    assert full.value.uncovered == [2]
+    assert subset.value.uncovered == [2]
 
 
 @pytest.mark.parametrize("objective", ["mnu", "bla", "mla"])
@@ -170,3 +177,6 @@ def test_no_active_users_yields_empty_assignment():
             solution = engine.solve(objective)
             assert solution.assignment.n_served == 0
             assert solution.value() == 0.0
+            if objective == "bla":
+                assert solution.b_star == math.inf
+                assert solution.iterations == 0
