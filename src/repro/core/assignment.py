@@ -48,11 +48,12 @@ class Assignment:
                 f"assignment covers {len(ap_of_user)} users, "
                 f"problem has {problem.n_users}"
             )
+        n_aps = problem.n_aps
         normalized: list[int | None] = []
         for user, ap in enumerate(ap_of_user):
             if ap is not None:
                 ap = int(ap)
-                if not 0 <= ap < problem.n_aps:
+                if not 0 <= ap < n_aps:
                     raise ModelError(
                         f"user {user} assigned to unknown AP {ap}"
                     )

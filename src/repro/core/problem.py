@@ -101,7 +101,7 @@ class MulticastAssociationProblem:
         rates = np.asarray(link_rates, dtype=float)
         if rates.ndim != 2:
             raise ModelError(f"link_rates must be 2-D, got shape {rates.shape}")
-        if np.any(rates < 0) or np.any(np.isnan(rates)):
+        if not (rates >= 0).all():  # also False for NaN
             raise ModelError("link rates must be non-negative and finite")
         n_aps, n_users = rates.shape
         if len(user_sessions) != n_users:

@@ -14,7 +14,10 @@ Exactness contract:
 * ``mnu`` and ``mla`` return assignments whose objective values (and, for
   the full user set, whose user→AP maps) are *identical* to the monolithic
   :func:`~repro.core.mnu.solve_mnu` / :func:`~repro.core.mla.solve_mla`,
-  with or without the cache, serial or parallel.
+  with or without the cache, serial or parallel. The MLA value is read
+  from the cached per-shard fragments' AP loads (see
+  :func:`~repro.engine.executor.stitch_mla`), bit-identical to the
+  stitched assignment's ``total_load()`` without building its ledger.
 * ``bla`` with ``bla_mode="exact"`` (the default) *is* the monolithic
   :func:`~repro.core.bla.solve_bla`, run on the active sub-problem and
   mapped back to global indices: its B* search compares global
@@ -75,16 +78,13 @@ class EngineSolution:
     n_resolved: int  # shards actually (re-)solved this call
     cache_hits: int
     cache_misses: int
+    objective_value: float  # users served / max load / total load
     b_star: float | None = None
     iterations: int | None = None
 
     def value(self) -> float:
         """The objective value (users served / max load / total load)."""
-        if self.objective == "mnu":
-            return float(self.assignment.n_served)
-        if self.objective == "bla":
-            return self.assignment.max_load()
-        return self.assignment.total_load()
+        return self.objective_value
 
 
 class ShardedEngine:
@@ -315,7 +315,7 @@ class ShardedEngine:
                 solution = self._solve_bla_exact(active_set)
         metrics.incr("engine.solves")
 
-        assignment, n_resolved, extras = solution
+        assignment, value, n_resolved, extras = solution
         return EngineSolution(
             objective=objective,
             assignment=assignment,
@@ -323,6 +323,7 @@ class ShardedEngine:
             n_resolved=n_resolved,
             cache_hits=self._cache.stats.hits - hits0,
             cache_misses=self._cache.stats.misses - misses0,
+            objective_value=value,
             **extras,
         )
 
@@ -343,13 +344,14 @@ class ShardedEngine:
 
     def _stitch_mnu(
         self, augment: bool, active_set: set[int]
-    ) -> Callable[..., Assignment]:
+    ) -> Callable[..., tuple[Assignment, float]]:
         def stitch(
             problem: MulticastAssociationProblem, raws: list
-        ) -> Assignment:
-            return stitch_mnu(
+        ) -> tuple[Assignment, float]:
+            assignment = stitch_mnu(
                 problem, raws, augment=augment, eligible=active_set
             )
+            return assignment, float(assignment.n_served)
 
         return stitch
 
@@ -358,12 +360,15 @@ class ShardedEngine:
         objective: str,
         active_set: set[int],
         worker: Callable[[MulticastAssociationProblem], object],
-        stitch: Callable[..., Assignment],
-    ) -> tuple[Assignment, int, dict[str, object]]:
+        stitch: Callable[..., tuple[Assignment, float]],
+    ) -> tuple[Assignment, float, int, dict[str, object]]:
         """The shared MNU/MLA path: per-shard cache → backend → stitch.
 
-        Cache entries hold the shard's raw set picks *already remapped to
-        global indices*, so stitching treats hits and misses uniformly.
+        Cache entries hold the shard's result *already remapped to global
+        indices* — MNU's raw split halves, MLA's materialized fragment —
+        so stitching treats hits and misses uniformly. The global map is
+        rebuilt from the entries on every solve; the engine keeps no
+        mutable stitched state a rolled-back tick would have to undo.
         """
         live = self._live_shards(active_set)
         raws: list[object | None] = [None] * len(live)
@@ -396,18 +401,22 @@ class ShardedEngine:
                     to_global_picks(shard_problem, raw[1]),
                 )
             else:
-                entry = to_global_picks(shard_problem, raw)
+                local_map, loads = raw
+                entry = (
+                    tuple(shard_problem.map_assignment(local_map)),
+                    tuple(loads),
+                )
             raws[i] = entry
             if self._use_cache:
                 self._cache.put(
                     objective, live[i][0].index, prints[i], entry
                 )
-        assignment = stitch(self.problem, raws)
-        return assignment, len(pending), {}
+        assignment, value = stitch(self.problem, raws)
+        return assignment, value, len(pending), {}
 
     def _solve_bla_exact(
         self, active_set: set[int]
-    ) -> tuple[Assignment, int, dict[str, object]]:
+    ) -> tuple[Assignment, float, int, dict[str, object]]:
         """The monolithic :func:`solve_bla` on the active sub-problem.
 
         The B* search compares global quantities at every step, so it
@@ -417,7 +426,7 @@ class ShardedEngine:
         self._require_coverage(active_set)
         if not active_set:
             empty = Assignment(self.problem, [None] * self.problem.n_users)
-            return empty, 0, {"b_star": math.inf, "iterations": 0}
+            return empty, 0.0, 0, {"b_star": math.inf, "iterations": 0}
         sub, keep = self.problem.restricted_to_users(active_set)
         result = solve_bla(sub)
         assignment = stitch_assignment(
@@ -430,13 +439,14 @@ class ShardedEngine:
         )
         return (
             assignment,
+            assignment.max_load(),
             len(self._live_shards(active_set)),
             {"b_star": result.b_star, "iterations": result.iterations},
         )
 
     def _solve_bla_federated(
         self, active_set: set[int]
-    ) -> tuple[Assignment, int, dict[str, object]]:
+    ) -> tuple[Assignment, float, int, dict[str, object]]:
         live = self._live_shards(active_set)
         entries: list[object | None] = [None] * len(live)
         pending: list[int] = []
@@ -484,6 +494,7 @@ class ShardedEngine:
         assignment.validate(check_budgets=False)
         return (
             assignment,
+            assignment.max_load(),
             len(pending),
             {
                 "b_star": b_star if entries else float("inf"),

@@ -23,7 +23,13 @@ the paper's algorithms are genuinely global:
   independent per-shard searches (:func:`bla_shard_federated`) fan out.
 
 MLA has no global decision at all; per-shard ``CostSC`` runs concatenate
-into exactly the monolithic cover.
+into exactly the monolithic cover. Each shard therefore hands back its
+*materialized fragment* — its ``(user, AP)`` pairs plus the loads of its
+APs — and :func:`stitch_mla` only concatenates: a per-AP load depends on
+nothing outside the AP's shard, every AP lies in at most one shard, and
+``math.fsum`` is order-independent, so the ``fsum`` of the fragments'
+loads is bit-identical to :meth:`~repro.core.assignment.Assignment.
+total_load` of the stitched assignment, without building its ledger.
 
 Worker payloads and results are plain picklable tuples so the process pool
 can ship them; every worker is deterministic, which is why the parallel
@@ -32,6 +38,7 @@ path provably returns the same stitched assignment as the serial one.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -41,11 +48,15 @@ from repro.core.candidates import CandidateSet
 from repro.core.mla import mla_cover
 from repro.core.mnu import augment_assignment, solve_mnu
 from repro.core.problem import MulticastAssociationProblem
-from repro.engine.shard import ShardProblem
+from repro.engine.shard import ShardProblem, stitch_assignment
 
 #: One selected candidate set, flattened for pickling/caching:
 #: ``(ap, session, tx_rate, cost, users)``.
 SetPick = tuple[int, int, float, float, tuple[int, ...]]
+
+#: One shard's materialized MLA result in global indices: its
+#: ``(user, AP)`` pairs and the loads of its APs.
+MlaFragment = tuple[tuple[tuple[int, int], ...], tuple[float, ...]]
 
 
 # -- execution backends ------------------------------------------------------
@@ -143,13 +154,23 @@ def mnu_shard_raw(
     )
 
 
-def mla_shard_raw(sub: MulticastAssociationProblem) -> tuple[SetPick, ...]:
-    """Centralized MLA (``CostSC``) on one shard; the cover in pick order.
+def mla_shard_raw(
+    sub: MulticastAssociationProblem,
+) -> tuple[tuple[int | None, ...], list[float]]:
+    """Centralized MLA (``CostSC``) on one shard, materialized.
 
-    Only the cover step runs here: :func:`stitch_mla` materializes and
-    validates the stitched assignment once, for all shards.
+    Returns the shard's local ``ap_of_user`` and per-AP loads. Like
+    :func:`~repro.core.mla.solve_mla` minus its ``mla.*`` gauges: the
+    engine publishes one stitched objective, not per-shard ones.
     """
-    return tuple(_pick(c) for c in mla_cover(sub).selected)
+    assignment = from_selected_sets(
+        sub,
+        (
+            (c.ap, c.session, c.tx_rate, c.users)
+            for c in mla_cover(sub).selected
+        ),
+    ).validate(check_budgets=False)
+    return assignment.ap_of_user, assignment.loads()
 
 
 def bla_shard_federated(
@@ -204,11 +225,16 @@ def stitch_mnu(
 
 def stitch_mla(
     problem: MulticastAssociationProblem,
-    shard_raws: Sequence[tuple[SetPick, ...]],
-) -> Assignment:
-    """Concatenate per-shard ``CostSC`` covers into the global assignment."""
-    selections: list[SetPick] = []
-    for shard_selected in shard_raws:
-        selections.extend(shard_selected)
-    assignment = from_selected_sets(problem, _selections(selections))
-    return assignment.validate(check_budgets=False)
+    fragments: Sequence[MlaFragment],
+) -> tuple[Assignment, float]:
+    """Concatenate per-shard MLA fragments: ``(assignment, total load)``.
+
+    The total load is ``math.fsum`` over every fragment's AP loads —
+    bit-identical to the stitched assignment's ``total_load()``.
+    """
+    pairs: list[tuple[int, int]] = []
+    loads: list[float] = []
+    for shard_pairs, shard_loads in fragments:
+        pairs.extend(shard_pairs)
+        loads.extend(shard_loads)
+    return stitch_assignment(problem, pairs), math.fsum(loads)

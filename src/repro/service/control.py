@@ -258,11 +258,12 @@ class ControlService:
         # stream the flipped session — unlike a rate change, whose rate
         # sits in every fingerprint via the session catalog.
         policy_dirty: set[int] = set()
-        for user in self._active:
-            if self._user_sessions[user] in policy_changes:
-                shard = self.engine.shard_of_user(user)
-                if shard is not None:
-                    policy_dirty.add(shard)
+        if policy_changes:
+            for user in self._active:
+                if self._user_sessions[user] in policy_changes:
+                    shard = self.engine.shard_of_user(user)
+                    if shard is not None:
+                        policy_dirty.add(shard)
         dirty |= policy_dirty
         if rate_changes:
             dirty = set(range(self.engine.plan.n_shards))
@@ -439,6 +440,7 @@ class ControlService:
                 n_resolved=0,
                 cache_hits=0,
                 cache_misses=0,
+                objective_value=0.0,
             )
             self._last_solve_s = 0.0
             return
@@ -522,23 +524,25 @@ class ControlService:
 
     def assignments_payload(self) -> dict[str, object]:
         """The ``GET /assignments`` body."""
-        assignment = self.assignment
+        ap_of_user = self.assignment.ap_of_user
+        active = sorted(self._active)
+        assignments: dict[str, int | None] = {}
+        n_served = 0
+        for u in active:
+            ap = ap_of_user[u]
+            assignments[str(u)] = ap
+            if ap is not None:
+                n_served += 1
         return {
             "tick": self.tick_index,
             "algorithm": self.algorithm,
-            "n_active": len(self._active),
-            "n_served": sum(
-                1
-                for u in self._active
-                if assignment.ap_of_user[u] is not None
-            ),
+            "n_active": len(active),
+            "n_served": n_served,
             "objective_value": (
                 self.solution.value() if self.solution else 0.0
             ),
-            "active": sorted(self._active),
-            "assignments": {
-                str(u): assignment.ap_of_user[u] for u in sorted(self._active)
-            },
+            "active": active,
+            "assignments": assignments,
         }
 
     def loads_payload(self) -> dict[str, object]:

@@ -18,10 +18,12 @@ import pytest
 
 from repro.core.bla import solve_bla
 from repro.core.errors import CoverageError
+from repro.core.ledger import LoadLedger
 from repro.core.mla import solve_mla
 from repro.core.mnu import solve_mnu
 from repro.core.problem import MulticastAssociationProblem, Session
 from repro.engine import ShardedEngine, plan_shards
+from repro.scenarios.federation import generate_federation
 from tests.conftest import random_problem
 from tests.engine.conftest import block_problem
 
@@ -180,3 +182,70 @@ def test_no_active_users_yields_empty_assignment():
             if objective == "bla":
                 assert solution.b_star == math.inf
                 assert solution.iterations == 0
+
+
+def _mla_instance(kind: str) -> tuple[MulticastAssociationProblem, int | None]:
+    """``(problem, max_shard_users)`` for one exactness case."""
+    if kind == "federation":
+        problem = generate_federation(
+            n_clusters=6,
+            aps_per_cluster=3,
+            users_per_cluster=10,
+            n_sessions=3,
+            seed=42,
+        ).problem()
+        return problem, None
+    problem = block_problem(13, n_blocks=4, n_sessions=3)
+    if kind == "blocks":
+        return problem, None
+    return problem, problem.n_users  # every component packed in one shard
+
+
+_POLICY_MIXES = {
+    "legacy": ("legacy",),
+    "mixed": ("legacy", "dms", "hybrid"),
+    "dms-hybrid": ("dms", "hybrid"),
+}
+
+
+@pytest.mark.parametrize(
+    "parallel", [False, pytest.param(True, marks=pytest.mark.slow)]
+)
+@pytest.mark.parametrize("policies", sorted(_POLICY_MIXES))
+@pytest.mark.parametrize("share", [1.0, 0.6])
+@pytest.mark.parametrize("kind", ["federation", "blocks", "one-shard"])
+def test_mla_value_is_bit_identical_to_monolithic(
+    kind, share, policies, parallel
+):
+    """The engine's MLA objective (the ``fsum`` of the per-shard fragment
+    loads) equals the monolithic total load and a fresh ledger's, to the
+    last bit, and the map equals the monolithic map."""
+    problem, cap = _mla_instance(kind)
+    mix = _POLICY_MIXES[policies]
+    problem = problem.with_policies(
+        [mix[s % len(mix)] for s in range(problem.n_sessions)]
+    )
+    users = range(problem.n_users)
+    active = sorted(
+        random.Random(5).sample(users, round(share * problem.n_users))
+    )
+    restricted, keep = problem.restricted_to_users(active)
+    reference = solve_mla(restricted).assignment
+    with ShardedEngine(
+        problem, max_shard_users=cap, parallel=parallel, max_workers=2
+    ) as engine:
+        if kind == "one-shard":
+            assert engine.plan.n_shards == 1
+        else:
+            assert engine.plan.n_shards > 1
+        engine.set_active(active)
+        solution = engine.solve("mla")
+    expected = [None] * problem.n_users
+    for local, global_user in enumerate(keep):
+        expected[global_user] = reference.ap_of(local)
+    assert list(solution.assignment.ap_of_user) == expected
+    value = solution.value().hex()
+    assert value == reference.total_load().hex()
+    assert value == LoadLedger(
+        problem, solution.assignment.ap_of_user
+    ).total_load().hex()

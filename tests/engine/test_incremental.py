@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core.errors import ModelError
+from repro.core.ledger import LoadLedger
 from repro.core.online import ChurnEvent, OnlineController
 from repro.engine import ShardedEngine, plan_shards, shard_fingerprint
 from repro.engine.incremental import CacheStats, ShardCache
 from repro.engine.shard import build_shards
+from repro.scenarios.federation import generate_federation
 from tests.engine.conftest import block_problem
 
 
@@ -173,6 +175,43 @@ class TestEngineCache:
             engine.leave(0)
         with pytest.raises(ModelError):
             engine.join(10_000)
+
+    def test_warm_mla_solve_builds_only_the_resolved_shards_ledgers(
+        self, monkeypatch
+    ):
+        """After one leave on a 40-shard federation the warm MLA solve
+        reads its objective from the cached fragments: no ledger over
+        the global problem, one shard-sized ledger per re-solved shard."""
+        problem = generate_federation(
+            n_clusters=40,
+            aps_per_cluster=3,
+            users_per_cluster=10,
+            n_sessions=3,
+            seed=1,
+        ).problem()
+        with ShardedEngine(problem) as engine:
+            assert engine.plan.n_shards == 40
+            engine.solve("mla")
+            leaver = engine.plan.shards[17].users[3]
+            engine.leave(leaver)
+            built: list[object] = []
+            original = LoadLedger.__init__
+
+            def counting_init(self, ledger_problem, *args, **kwargs):
+                built.append(ledger_problem)
+                original(self, ledger_problem, *args, **kwargs)
+
+            monkeypatch.setattr(LoadLedger, "__init__", counting_init)
+            warm = engine.solve("mla")
+            monkeypatch.undo()
+        assert warm.n_resolved == 1
+        assert warm.cache_hits == 39
+        assert not [p for p in built if p is engine.problem]
+        shard_users = len(engine.plan.shards[17].users) - 1
+        assert [p.n_users for p in built] == [shard_users] * warm.n_resolved
+        assert warm.value().hex() == LoadLedger(
+            problem, warm.assignment.ap_of_user
+        ).total_load().hex()
 
 
 class TestOnlineIntegration:

@@ -162,6 +162,41 @@ class TestDifferentialOracle:
         assert certificate.ok, certificate.violations
         service.close()
 
+    def test_mla_objective_is_bit_identical_after_rollback(
+        self, control, monkeypatch
+    ):
+        """The published MLA objective (read from the cached shard
+        fragments) equals a cold batch solve's ``total_load()`` to the
+        last bit — across joins, moves, a rate change, a set-policy and a
+        tick the solver kills and the service rolls back."""
+        ticks = [
+            [Event("leave", user=3), Event("leave", user=11)],
+            [Event("move", user=5, session=2), Event("join", user=3)],
+            [Event("rate-change", session=1, rate_mbps=2.5)],
+            [Event("set-policy", session=0, policy="hybrid")],
+        ]
+        for events in ticks:
+            report = control.apply_events(events)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("solver died mid-tick")
+
+        monkeypatch.setattr(control.engine, "solve", boom)
+        with pytest.raises(RuntimeError):
+            control.apply_events(
+                [Event("move", user=7, session=1), Event("leave", user=20)]
+            )
+        monkeypatch.undo()
+        for events in (
+            [Event("join", user=11), Event("move", user=9, session=0)],
+            [Event("set-policy", session=2, policy="dms")],
+        ):
+            report = control.apply_events(events)
+        expected = control.batch_solution().assignment.total_load()
+        assert report.objective_value.hex() == expected.hex()
+        assert control.solution is not None
+        assert control.solution.value().hex() == expected.hex()
+
     def test_drain_to_empty_and_back(self, control):
         users = sorted(control.active)
         for user in users:
