@@ -396,7 +396,6 @@ def run_serve(args: argparse.Namespace) -> int:
     control = ControlService(
         scenario.problem(),
         algorithm=args.algorithm,
-        repair=args.repair,
         max_shard_users=args.max_shard_users,
     )
     service = AssociationService(
@@ -415,7 +414,7 @@ def run_serve(args: argparse.Namespace) -> int:
         print(
             f"repro service: {args.aps} APs, {args.users} users, "
             f"{args.sessions} sessions, {plan.n_shards} shards, "
-            f"algorithm={args.algorithm} repair={args.repair}"
+            f"algorithm={args.algorithm}"
         )
         print(
             f"listening on http://{args.host}:{service.port} "
@@ -600,15 +599,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["mnu", "bla", "mla"],
         default="mla",
         help="objective the engine re-solves (default mla)",
-    )
-    serve.add_argument(
-        "--repair",
-        choices=["none", "local", "full"],
-        default="none",
-        help=(
-            "also run the distributed local-rule dynamics per event and "
-            "mark the APs they touch dirty (default none)"
-        ),
     )
     serve.add_argument("--aps", type=int, default=24)
     serve.add_argument("--users", type=int, default=300)

@@ -93,26 +93,8 @@ class OnlineController:
         self.rng = rng or random.Random(0)
         self.state = AssociationState(problem)
         self.active: set[int] = set()
-        self._changed_aps: set[int] = set()
-
-    @property
-    def last_changed_aps(self) -> frozenset[int]:
-        """APs whose load changed while processing the last event.
-
-        Every (dis)association performed by the event itself or by its
-        repair pass contributes the user's old and new AP. Incremental
-        consumers (e.g. the sharded engine's dirty-shard invalidation)
-        subscribe to this to re-solve only the regions an event touched.
-        """
-        return frozenset(self._changed_aps)
 
     # -- event handling --------------------------------------------------
-
-    def _record_move(self, old_ap: int | None, new_ap: int | None) -> None:
-        if old_ap is not None:
-            self._changed_aps.add(old_ap)
-        if new_ap is not None:
-            self._changed_aps.add(new_ap)
 
     def _decide_and_move(self, user: int) -> bool:
         """Run the user's local rule; True if its association changed."""
@@ -120,7 +102,6 @@ class OnlineController:
             self.state, user, self.policy, enforce_budgets=self.enforce_budgets
         )
         if decision.target != self.state.ap_of_user[user]:
-            self._record_move(self.state.ap_of_user[user], decision.target)
             self.state.move(user, decision.target)
             return True
         return False
@@ -159,7 +140,6 @@ class OnlineController:
         user = event.user
         if not 0 <= user < self.problem.n_users:
             raise ModelError(f"unknown user {user}")
-        self._changed_aps = set()
         ops_before = self.state.op_counts()
         handoffs = 0
         if event.kind == "join":
@@ -173,7 +153,6 @@ class OnlineController:
                 raise ModelError(f"user {user} is not active")
             self.active.discard(user)
             if self.state.ap_of_user[user] is not None:
-                self._record_move(self.state.ap_of_user[user], None)
                 self.state.move(user, None)
         else:  # pragma: no cover - guarded by the dataclass literal
             raise ModelError(f"unknown event kind {event.kind!r}")
@@ -191,30 +170,6 @@ class OnlineController:
             for op, count in self.state.op_counts().items():
                 instrument.incr(f"ledger.{op}", count - ops_before[op])
         return handoffs
-
-    def seed_active(self, users: Iterable[int]) -> int:
-        """Bootstrap membership: associate ``users`` by their local rule.
-
-        The warm-start path for long-running controllers (the service
-        layer re-seeds a fresh controller after a problem swap): each
-        not-yet-active user joins greedily in index order, with no
-        repair pass — one sequential best-response sweep, the convergent
-        regime of Lemmas 1–2. Returns the number of associations made;
-        :attr:`last_changed_aps` accumulates every AP the sweep touched.
-        """
-        self._changed_aps = set()
-        moves = 0
-        for user in sorted(set(users)):
-            if user in self.active:
-                continue
-            if not 0 <= user < self.problem.n_users:
-                raise ModelError(f"unknown user {user}")
-            self.active.add(user)
-            if self._decide_and_move(user):
-                moves += 1
-        if instrument.enabled():
-            instrument.incr("online.seeded", moves)
-        return moves
 
     # -- metrics ------------------------------------------------------------
 

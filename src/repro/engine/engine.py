@@ -110,7 +110,6 @@ class ShardedEngine:
         self.shards: list[Shard] = build_shards(problem, self.plan)
         self.bla_mode = bla_mode
         self._shard_of_user = self.plan.shard_of_user()
-        self._shard_of_ap = self.plan.shard_of_ap()
         self._backend = (
             ProcessBackend(max_workers=max_workers)
             if parallel
@@ -243,28 +242,8 @@ class ShardedEngine:
 
     @property
     def cache_stats(self) -> CacheStats:
-        """Hit/miss/invalidation counters (all zero when caching is off)."""
+        """Hit/miss counters (all zero when caching is off)."""
         return self._cache.stats
-
-    def mark_aps_dirty(self, aps: Iterable[int]) -> int:
-        """Evict cached results for every shard owning one of ``aps``.
-
-        The hook for load-change signals such as
-        :attr:`repro.core.online.OnlineController.last_changed_aps`;
-        returns the number of evicted entries. (Membership changes don't
-        need this — fingerprints already catch them.)
-        """
-        ap_list = list(aps)
-        shards = {
-            self._shard_of_ap[ap]
-            for ap in ap_list
-            if ap in self._shard_of_ap
-        }
-        evicted = self._cache.invalidate_shards(shards)
-        if metrics.enabled():
-            metrics.incr("engine.aps_marked_dirty", len(ap_list))
-            metrics.incr("engine.dirty_evictions", evicted)
-        return evicted
 
     # -- solving ---------------------------------------------------------
 

@@ -7,28 +7,26 @@ makes re-solves proportional to the *blast radius* of a change:
 * :func:`shard_fingerprint` hashes everything a shard's sub-problem depends
   on — its AP set, its active users, the rates (as the once-per-rate-matrix
   digest of the shard's whole block), the budgets, the users' sessions and
-  the session catalog. Content addressing makes
-  invalidation automatic: any membership or parameter change lands a
-  different fingerprint and the stale entry simply misses.
+  the session catalog. Content addressing is the only invalidation:
+  any membership or parameter change lands a different fingerprint, and
+  the stale entry misses and is evicted on lookup.
 * :class:`ShardCache` stores per-shard solver outputs keyed by
   ``(objective, shard index)`` and guarded by the fingerprint, with
-  hit/miss/invalidation counters (:class:`CacheStats`) so callers — and the
+  hit/miss counters (:class:`CacheStats`) so callers — and the
   acceptance tests — can assert that an event re-solved only the shards it
-  touched. Explicit eviction (:meth:`ShardCache.invalidate_shards`) covers
-  out-of-band signals such as
-  :attr:`repro.core.online.OnlineController.last_changed_aps`.
+  touched.
 
 Cache entries are whatever the engine chose to store — raw H1/H2 set picks
-for MNU, cover picks for MLA, per-shard assignments for federated BLA. The
-cache never interprets them; it only guarantees they were produced from a
-sub-problem identical to the current one.
+for MNU, materialized fragments for MLA, per-shard assignments for
+federated BLA. The cache never interprets them; it only guarantees they
+were produced from a sub-problem identical to the current one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -94,13 +92,11 @@ class CacheStats:
 
     hits: int = 0
     misses: int = 0
-    invalidations: int = 0
 
     def reset(self) -> None:
         """Zero all counters."""
         self.hits = 0
         self.misses = 0
-        self.invalidations = 0
 
     def hit_rate(self) -> float:
         """Fraction of lookups answered from cache (0.0 when none made)."""
@@ -139,26 +135,6 @@ class ShardCache:
     ) -> None:
         """Store ``entry`` for the shard under its fingerprint."""
         self._entries[(objective, shard_index)] = (fingerprint, entry)
-
-    def invalidate_shards(self, shard_indices: Iterable[int]) -> int:
-        """Drop every objective's entry for the given shards; count drops."""
-        doomed = set(shard_indices)
-        victims = [key for key in self._entries if key[1] in doomed]
-        for key in victims:
-            del self._entries[key]
-        self.stats.invalidations += len(victims)
-        if victims:
-            metrics.incr("cache.invalidations", len(victims))
-        return len(victims)
-
-    def clear(self) -> int:
-        """Drop everything; returns the number of entries evicted."""
-        n = len(self._entries)
-        self._entries.clear()
-        self.stats.invalidations += n
-        if n:
-            metrics.incr("cache.invalidations", n)
-        return n
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -192,9 +192,7 @@ STATE_MUTATORS: frozenset[str] = frozenset(
         "leave",
         "move",
         "set_active",
-        "seed_active",
         "swap_problem",
-        "mark_aps_dirty",
         "process_event",
         "apply_events",
         "apply_plan",

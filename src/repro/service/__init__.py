@@ -15,9 +15,7 @@ sharded engine into exactly that kind of controller:
   synchronous heart: applies one coalesced tick to the membership /
   session / rate state and drives an incremental re-solve through
   :class:`~repro.engine.ShardedEngine` (fingerprint cache: clean shards
-  are never re-solved) with optional
-  :class:`~repro.core.online.OnlineController` repair dynamics feeding
-  dirty-shard eviction.
+  are never re-solved).
 * :mod:`repro.service.loop` — :class:`AssociationService`, the asyncio
   wrapper: an ingest queue, a tick scheduler (configurable interval and
   max batch), a JSON-over-HTTP control surface (``GET /assignments``,

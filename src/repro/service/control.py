@@ -17,17 +17,10 @@ driving *incremental* re-solves through a
   sub-problem actually changed (one shard for a move, everything for a
   rate change, the shards whose active users stream the session for a
   policy flip).
-* with ``repair != "none"`` an :class:`~repro.core.online.OnlineController`
-  additionally runs the paper's local decision dynamics on every
-  membership change and its
-  :attr:`~repro.core.online.OnlineController.last_changed_aps` feed
-  :meth:`~repro.engine.ShardedEngine.mark_aps_dirty` — the belt-and-
-  braces staleness guard for shards whose *loads* the repair dynamics
-  touched.
 
-The published assignment is always the engine's stitched solution, so
-the differential oracle holds in every mode: after any event stream,
-:meth:`assignment` equals a cold batch solve of the cumulative state.
+The published assignment is the engine's stitched solution, so the
+differential oracle holds: after any event stream, :meth:`assignment`
+equals a cold batch solve of the cumulative state.
 
 Everything here is synchronous and asyncio-free on purpose: the tick
 semantics are unit-testable without a running loop, and the asyncio
@@ -37,13 +30,11 @@ wrapper (:mod:`repro.service.loop`) stays a thin scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, cast
+from typing import Iterable, Mapping, Sequence
 
 from repro.core import instrument
 from repro.core.assignment import Assignment
-from repro.core.distributed import Policy
 from repro.core.errors import ModelError
-from repro.core.online import ChurnEvent, OnlineController, RepairScope
 from repro.core.problem import MulticastAssociationProblem, Session
 from repro.engine import ShardedEngine
 from repro.engine.engine import OBJECTIVES, EngineSolution
@@ -119,7 +110,6 @@ class ControlService:
         problem: MulticastAssociationProblem,
         *,
         algorithm: str = "mla",
-        repair: RepairScope = "none",
         max_shard_users: int | None = None,
         parallel: bool = False,
         max_workers: int | None = None,
@@ -129,7 +119,6 @@ class ControlService:
         if algorithm not in OBJECTIVES:
             raise ModelError(f"unknown algorithm {algorithm!r}")
         self.algorithm = algorithm
-        self.repair: RepairScope = repair
         self._base = problem
         self._user_sessions: list[int] = list(problem.user_sessions)
         self._session_rates: list[float] = [
@@ -150,9 +139,6 @@ class ControlService:
             else set(initial_active)
         )
         self.engine.set_active(self._active)
-        self._controller: OnlineController | None = None
-        if repair != "none":
-            self._controller = self._fresh_controller()
         self.tick_index = 0
         self.solution: EngineSolution | None = None
         self._last_solve_s = 0.0
@@ -257,14 +243,12 @@ class ControlService:
         # A policy flip re-prices exactly the shards whose active users
         # stream the flipped session — unlike a rate change, whose rate
         # sits in every fingerprint via the session catalog.
-        policy_dirty: set[int] = set()
         if policy_changes:
             for user in self._active:
                 if self._user_sessions[user] in policy_changes:
                     shard = self.engine.shard_of_user(user)
                     if shard is not None:
-                        policy_dirty.add(shard)
-        dirty |= policy_dirty
+                        dirty.add(shard)
         if rate_changes:
             dirty = set(range(self.engine.plan.n_shards))
 
@@ -273,27 +257,12 @@ class ControlService:
         try:
             if rate_changes or moves or policy_changes:
                 self._mutate_problem(rate_changes, moves, policy_changes)
-            if policy_dirty:
-                # Fingerprints already catch the policy bytes; marking
-                # the affected APs dirty additionally surfaces the blast
-                # radius on ``engine.aps_marked_dirty`` for operators
-                # and the e2e differential tests.
-                affected_aps: set[int] = set()
-                for shard_index in policy_dirty:
-                    affected_aps.update(self.engine.shards[shard_index].aps)
-                self.engine.mark_aps_dirty(affected_aps)
             for user in joins:
                 self._active.add(user)
                 self.engine.join(user)
             for user in leaves:
                 self._active.discard(user)
                 self.engine.leave(user)
-            if self._controller is not None:
-                self._run_repair(
-                    joins,
-                    leaves,
-                    rebuilt=bool(rate_changes or moves or policy_changes),
-                )
             if changed:
                 self.tick_index += 1
                 self._resolve()
@@ -356,9 +325,7 @@ class ControlService:
         """Roll the control state back to a pre-tick snapshot.
 
         The engine is re-pointed at the snapshot problem and membership
-        (its content-addressed cache makes the re-sync cheap), and the
-        repair controller — mutated in place by its dynamics — is
-        rebuilt from the restored state rather than patched.
+        (its content-addressed cache makes the re-sync cheap).
         """
         self._user_sessions = list(snapshot.user_sessions)
         self._session_rates = list(snapshot.session_rates)
@@ -368,8 +335,6 @@ class ControlService:
             self.problem = snapshot.problem
             self.engine.swap_problem(snapshot.problem)
         self.engine.set_active(self._active)
-        if self.repair != "none":
-            self._controller = self._fresh_controller()
         self.solution = snapshot.solution
         self.tick_index = snapshot.tick_index
         self._last_solve_s = snapshot.last_solve_s
@@ -485,41 +450,6 @@ class ControlService:
             metrics.incr("service.moves", len(moves))
             metrics.incr("service.rate_changes", len(rate_changes))
 
-    def _fresh_controller(self) -> OnlineController:
-        controller = OnlineController(
-            self.problem,
-            cast(Policy, self.algorithm),
-            repair=self.repair,
-        )
-        controller.seed_active(self._active)
-        return controller
-
-    def _run_repair(
-        self, joins: Sequence[int], leaves: Sequence[int], *, rebuilt: bool
-    ) -> None:
-        """Run the local-rule dynamics and evict the shards they touched.
-
-        The controller mirrors membership; every AP whose load its
-        dynamics moved is marked dirty on the engine so the next solve
-        re-derives those shards from scratch rather than trusting a
-        cache entry whose fingerprint did not change.
-        """
-        changed: set[int] = set()
-        if rebuilt or self._controller is None:
-            self._controller = self._fresh_controller()
-            # Re-seeding replays membership, so joins/leaves are already
-            # reflected; only the sweep's own moves need eviction.
-            changed |= self._controller.last_changed_aps
-        else:
-            for user in joins:
-                self._controller.process(ChurnEvent("join", user))
-                changed |= self._controller.last_changed_aps
-            for user in leaves:
-                self._controller.process(ChurnEvent("leave", user))
-                changed |= self._controller.last_changed_aps
-        if changed:
-            self.engine.mark_aps_dirty(changed)
-
     # -- HTTP payloads ---------------------------------------------------
 
     def assignments_payload(self) -> dict[str, object]:
@@ -566,7 +496,6 @@ class ControlService:
         return {
             "tick": self.tick_index,
             "algorithm": self.algorithm,
-            "repair": self.repair,
             "n_aps": self.problem.n_aps,
             "n_users": self.problem.n_users,
             "n_sessions": self.problem.n_sessions,

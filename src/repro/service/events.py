@@ -124,8 +124,14 @@ def parse_event(obj: Any) -> Event:
     if kind not in EVENT_KINDS:
         raise EventError(f"unknown event kind {kind!r}")
     rate = obj.get("rate_mbps")
-    if rate is not None and not isinstance(rate, (int, float)):
-        raise EventError(f"rate_mbps must be a number, got {rate!r}")
+    rate_mbps: float | None = None
+    if rate is not None:
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise EventError(f"rate_mbps must be a number, got {rate!r}")
+        try:
+            rate_mbps = float(rate)
+        except OverflowError:
+            raise EventError("rate_mbps is too large for a float") from None
     policy = obj.get("policy")
     if policy is not None and not isinstance(policy, str):
         raise EventError(f"policy must be a string, got {policy!r}")
@@ -133,7 +139,7 @@ def parse_event(obj: Any) -> Event:
         kind=kind,
         user=_int_field(obj, "user"),
         session=_int_field(obj, "session"),
-        rate_mbps=float(rate) if rate is not None else None,
+        rate_mbps=rate_mbps,
         policy=policy,
     )
 

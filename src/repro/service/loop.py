@@ -209,6 +209,9 @@ class AssociationService:
         queue), applied on the default executor so the listener stays
         responsive through the re-solve, and — should the tick raise —
         its ``wait=1`` futures get the exception instead of hanging.
+        The control core has already rolled that tick back, so a failed
+        tick is counted on ``service.tick_failures`` and not re-raised:
+        the ticker keeps applying later batches and a drain completes.
         """
         if not self._pending:
             return None
@@ -223,7 +226,10 @@ class AssociationService:
             for _, future in batch:
                 if future is not None and not future.done():
                     future.set_exception(exc)
-            raise
+            if not isinstance(exc, Exception):
+                raise
+            metrics.incr("service.tick_failures")
+            return None
         self._finish_tick(batch, report)
         return report
 

@@ -104,82 +104,6 @@ class TestRepairScopes:
             assert controller.state.to_assignment().violations() == []
 
 
-class TestSeedActive:
-    def test_seed_matches_sequential_joins(self, fig1_load):
-        seeded = OnlineController(fig1_load, "mla")
-        moved = seeded.seed_active(range(fig1_load.n_users))
-        sequential = OnlineController(fig1_load, "mla")
-        for user in range(fig1_load.n_users):
-            sequential.process(ChurnEvent("join", user))
-        assert seeded.state.ap_of_user == sequential.state.ap_of_user
-        assert moved == sum(
-            1 for ap in seeded.state.ap_of_user if ap is not None
-        )
-
-    def test_seed_skips_already_active_and_accumulates_aps(self, fig1_load):
-        controller = OnlineController(fig1_load, "mla")
-        controller.process(ChurnEvent("join", 0))
-        before = controller.state.ap_of_user[0]
-        moved = controller.seed_active([0, 1, 2])
-        assert controller.state.ap_of_user[0] == before
-        assert moved <= 2
-        assert controller.active == {0, 1, 2}
-        assert controller.last_changed_aps  # the sweep touched APs
-
-    def test_seed_rejects_unknown_user(self, fig1_load):
-        controller = OnlineController(fig1_load, "mla")
-        with pytest.raises(ModelError):
-            controller.seed_active([99])
-
-
-class TestChangedAps:
-    def test_join_reports_the_target_ap(self, fig1_load):
-        controller = OnlineController(fig1_load, "mla", repair="none")
-        controller.process(ChurnEvent("join", 0))
-        target = controller.state.ap_of_user[0]
-        assert controller.last_changed_aps == {target}
-
-    def test_leave_reports_the_old_ap(self, fig1_load):
-        controller = OnlineController(fig1_load, "mla", repair="none")
-        controller.process(ChurnEvent("join", 0))
-        old = controller.state.ap_of_user[0]
-        controller.process(ChurnEvent("leave", 0))
-        assert controller.last_changed_aps == {old}
-
-    def test_report_resets_per_event(self, fig1_load):
-        controller = OnlineController(fig1_load, "mla", repair="none")
-        controller.process(ChurnEvent("join", 0))
-        controller.process(ChurnEvent("join", 1))
-        # Only APs touched by the *last* event are reported.
-        assert controller.last_changed_aps == {
-            controller.state.ap_of_user[1]
-        }
-
-    def test_repair_moves_are_included(self):
-        rng = random.Random(55)
-        for _ in range(5):
-            p = random_problem(rng, n_aps=4, n_users=8)
-            controller = OnlineController(
-                p, "mla", repair="full", rng=random.Random(5)
-            )
-            for user in range(p.n_users):
-                snapshot = list(controller.state.ap_of_user)
-                controller.process(ChurnEvent("join", user))
-                after = controller.state.ap_of_user
-                moved = {
-                    ap
-                    for u in range(p.n_users)
-                    if snapshot[u] != after[u]
-                    for ap in (snapshot[u], after[u])
-                    if ap is not None
-                }
-                assert controller.last_changed_aps == moved
-
-    def test_empty_before_any_event(self, fig1_load):
-        controller = OnlineController(fig1_load, "mla")
-        assert controller.last_changed_aps == frozenset()
-
-
 class TestRunAndMetrics:
     def test_snapshots_track_active_counts(self, fig1_load):
         controller = OnlineController(fig1_load, "mla")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.errors import ModelError
 from repro.core.ledger import LoadLedger
-from repro.core.online import ChurnEvent, OnlineController
+from repro.core.online import ChurnEvent
 from repro.engine import ShardedEngine, plan_shards, shard_fingerprint
 from repro.engine.incremental import CacheStats, ShardCache
 from repro.engine.shard import build_shards
@@ -37,19 +37,11 @@ class TestShardCache:
         assert cache.get("mnu", 0, "fp") == "a"
         assert cache.get("mla", 0, "fp") == "b"
 
-    def test_invalidate_shards_counts(self):
-        cache = ShardCache()
-        cache.put("mnu", 0, "fp", "a")
-        cache.put("mla", 0, "fp", "b")
-        cache.put("mnu", 1, "fp", "c")
-        assert cache.invalidate_shards([0]) == 2
-        assert cache.stats.invalidations == 2
-        assert len(cache) == 1
-
     def test_clear_and_stats_reset(self):
         cache = ShardCache()
         cache.put("mnu", 0, "fp", "a")
-        assert cache.clear() == 1
+        assert cache.get("mnu", 0, "fp") == "a"
+        assert cache.get("mnu", 1, "fp") is None
         cache.stats.reset()
         assert cache.stats == CacheStats()
 
@@ -151,15 +143,6 @@ class TestEngineCache:
         assert solution.cache_hits == 0
         assert solution.cache_misses == 0
 
-    def test_mark_aps_dirty_evicts_one_shard(self, engine):
-        engine.solve("mnu")
-        target = engine.plan.shards[1]
-        evicted = engine.mark_aps_dirty([target.aps[0]])
-        assert evicted == 1
-        after = engine.solve("mnu")
-        assert after.cache_misses == 1
-        assert after.cache_hits == engine.plan.n_shards - 1
-
     def test_cache_disabled_keeps_zero_counters(self):
         problem = block_problem(33, n_blocks=3)
         with ShardedEngine(problem, cache=False) as engine:
@@ -212,27 +195,6 @@ class TestEngineCache:
         assert warm.value().hex() == LoadLedger(
             problem, warm.assignment.ap_of_user
         ).total_load().hex()
-
-
-class TestOnlineIntegration:
-    def test_last_changed_aps_drive_invalidation(self):
-        """OnlineController's changed-AP report plugs into mark_aps_dirty."""
-        problem = block_problem(34, n_blocks=4)
-        controller = OnlineController(problem, "mla", repair="none")
-        with ShardedEngine(problem) as engine:
-            user = engine.plan.shards[1].users[0]
-            engine.set_active(set(range(problem.n_users)) - {user})
-            engine.solve("mnu")  # warm every shard's entry
-            controller.process(ChurnEvent("join", user))
-            engine.process_event(ChurnEvent("join", user))
-            changed = controller.last_changed_aps
-            assert changed  # the join associated somewhere
-            touched = {engine.plan.shard_of_ap()[ap] for ap in changed}
-            assert touched == {1}
-            engine.mark_aps_dirty(changed)
-            after = engine.solve("mnu")
-            assert after.cache_misses == 1
-            assert after.cache_hits == engine.plan.n_shards - 1
 
 
 class TestFingerprintSoundness:

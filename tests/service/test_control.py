@@ -208,39 +208,6 @@ class TestDifferentialOracle:
         assert control.assignment.ap_of_user[users[0]] is not None
 
 
-class TestRepairMode:
-    def test_repair_marks_dirty_aps(self, scenario):
-        with obs.collecting() as session:
-            service = ControlService(
-                scenario.problem(),
-                algorithm="mla",
-                max_shard_users=8,
-                repair="local",
-            )
-            service.apply_events([Event("leave", user=1)])
-            service.apply_events([Event("join", user=1)])
-            service.close()
-        counters = session.metrics.counters()
-        assert counters.get("engine.aps_marked_dirty", 0) > 0
-
-    def test_repair_preserves_oracle(self, scenario):
-        problem = scenario.problem()
-        service = ControlService(
-            problem, algorithm="mla", max_shard_users=8, repair="local"
-        )
-        from repro.service.driver import generate_event_stream
-
-        for event in generate_event_stream(
-            problem.n_users, problem.n_sessions, 40, seed=9
-        ):
-            service.apply_events([event])
-        warm = service.solution
-        cold = service.batch_solution()
-        assert warm is not None
-        assert warm.assignment.ap_of_user == cold.assignment.ap_of_user
-        service.close()
-
-
 class TestEngineSwapProblem:
     def test_swap_keeps_cache_for_untouched_shards(self):
         problem = generate(

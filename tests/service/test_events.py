@@ -48,6 +48,8 @@ class TestParsing:
             {"kind": "set-policy", "session": 0, "policy": 7},
             "join",
             42,
+            {"kind": "rate-change", "session": 0, "rate_mbps": True},
+            {"kind": "rate-change", "session": 0, "rate_mbps": 10**400},
         ],
     )
     def test_malformed_payloads_rejected(self, payload):

@@ -149,6 +149,24 @@ class TestControlSurface:
         body = json.loads(err.value.read().decode("utf-8"))
         assert "teleport" in body["error"]
 
+    @pytest.mark.parametrize(
+        "rate", [b"true", b"1" + b"0" * 400], ids=["bool", "huge-int"]
+    )
+    def test_non_float_rate_is_400(self, live_service, rate):
+        _, _, base_url = live_service
+        request = urllib.request.Request(
+            f"{base_url}/events",
+            data=b'{"kind": "rate-change", "session": 0, "rate_mbps": '
+            + rate
+            + b"}",
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as err:
+            urllib.request.urlopen(request, timeout=10)
+        assert err.value.code == 400
+        body = json.loads(err.value.read().decode("utf-8"))
+        assert "rate_mbps" in body["error"]
+
     def test_out_of_range_event_is_400(self, live_service):
         _, _, base_url = live_service
         request = urllib.request.Request(

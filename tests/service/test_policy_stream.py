@@ -3,8 +3,8 @@
 The incrementality contract under ``set-policy``: a flip dirties only
 the shards whose *active* users stream the flipped session (the
 fingerprint carries per-session policy bytes for exactly the requested
-non-legacy sessions), the engine observes the re-pricing through
-``engine.aps_marked_dirty``, and a warm service that lived through a
+non-legacy sessions), fingerprints alone make the engine re-solve
+exactly those shards, and a warm service that lived through a
 mixed-policy stream lands bit-identical on a cold ``batch_solution()``.
 """
 
@@ -73,8 +73,8 @@ class TestSetPolicyIncrementality:
         assert 0 < report.dirty_shards < n_shards
         assert report.cache_hits == n_shards - report.dirty_shards
         assert counters["service.policy_changes"] == 1
-        # the engine saw the re-pricing as explicit dirty APs
-        assert counters.get("engine.aps_marked_dirty", 0) > 0
+        # fingerprints alone evict exactly the policy-dirty shards
+        assert report.cache_misses == report.dirty_shards
         assert control.current_problem().policy_of(session) == "dms"
 
     def test_idempotent_flip_is_a_no_op(self, control):
