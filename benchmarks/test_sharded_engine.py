@@ -48,32 +48,32 @@ def run_engine_comparison():
                 "seed": seed,
                 "objectives": {},
             }
-            with ShardedEngine(problem) as engine:
-                row["n_shards"] = engine.plan.n_shards
-                for objective in ("mnu", "bla", "mla"):
-                    start = time.perf_counter()
-                    solution = engine.solve(objective)
-                    sharded_s = time.perf_counter() - start
-                    start = time.perf_counter()
-                    reference = MONOLITHIC[objective](problem).assignment
-                    mono_s = time.perf_counter() - start
-                    sharded_value = solution.value()
-                    mono_value = _values(reference)[objective]
-                    row["objectives"][objective] = {
-                        "sharded_s": sharded_s,
-                        "mono_s": mono_s,
-                        "sharded_value": sharded_value,
-                        "mono_value": mono_value,
-                    }
-                # Churn phase: per-event incremental MNU re-solves. The
-                # trace starts from an empty system, so track it as such.
-                trace = generate_churn_trace(problem, 40)
-                engine.set_active([])
-                engine.cache_stats.reset()
-                for event in trace:
-                    engine.process_event(event)
-                    engine.solve("mnu")
-                row["hit_rate"] = engine.cache_stats.hit_rate()
+            engine = ShardedEngine(problem)
+            row["n_shards"] = engine.plan.n_shards
+            for objective in ("mnu", "bla", "mla"):
+                start = time.perf_counter()
+                solution = engine.solve(objective)
+                sharded_s = time.perf_counter() - start
+                start = time.perf_counter()
+                reference = MONOLITHIC[objective](problem).assignment
+                mono_s = time.perf_counter() - start
+                sharded_value = solution.value()
+                mono_value = _values(reference)[objective]
+                row["objectives"][objective] = {
+                    "sharded_s": sharded_s,
+                    "mono_s": mono_s,
+                    "sharded_value": sharded_value,
+                    "mono_value": mono_value,
+                }
+            # Churn phase: per-event incremental MNU re-solves. The
+            # trace starts from an empty system, so track it as such.
+            trace = generate_churn_trace(problem, 40)
+            engine.set_active([])
+            engine.cache_stats.reset()
+            for event in trace:
+                engine.process_event(event)
+                engine.solve("mnu")
+            row["hit_rate"] = engine.cache_stats.hit_rate()
             rows.append(row)
     return rows
 

@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Sharded engine: federated deployments, parallel solves, live churn.
+"""Sharded engine: federated deployments, exact solves, live churn.
 
 Generates a federated WLAN (10 clusters that cannot hear each other —
 think buildings on a campus), partitions it along the coverage graph, and
-shows the three things the sharded engine buys you:
+shows the two things the sharded engine buys you:
 
 1. **Exactness** — the stitched shard solves return the same objective
    values as the monolithic solvers;
-2. **Parallelism** — the shards solve on a process pool, same answers;
-3. **Incrementality** — under join/leave churn, re-solves touch only the
+2. **Incrementality** — under join/leave churn, re-solves touch only the
    shard the event landed in (watch the cache hit rate).
 
 Run:  python examples/sharded_scale.py
@@ -39,47 +38,37 @@ def main() -> None:
         "bla": lambda: solve_bla(problem).assignment.max_load(),
         "mla": lambda: solve_mla(problem).assignment.total_load(),
     }
-    with ShardedEngine(problem) as engine:
-        plan = engine.plan
+    engine = ShardedEngine(problem)
+    plan = engine.plan
+    print(
+        f"partition: {plan.n_components} coverage components "
+        f"-> {plan.n_shards} shards"
+    )
+    for objective in ("mnu", "bla", "mla"):
+        start = time.perf_counter()
+        sharded_value = engine.solve(objective).value()
+        sharded_s = time.perf_counter() - start
+        start = time.perf_counter()
+        mono_value = monolithic[objective]()
+        mono_s = time.perf_counter() - start
+        marker = "==" if sharded_value == mono_value else "!="
         print(
-            f"partition: {plan.n_components} coverage components "
-            f"-> {plan.n_shards} shards"
+            f"  {objective}: sharded {sharded_value:.6g} ({sharded_s:.3f}s) "
+            f"{marker} monolithic {mono_value:.6g} ({mono_s:.3f}s)"
         )
-        for objective in ("mnu", "bla", "mla"):
-            start = time.perf_counter()
-            sharded_value = engine.solve(objective).value()
-            sharded_s = time.perf_counter() - start
-            start = time.perf_counter()
-            mono_value = monolithic[objective]()
-            mono_s = time.perf_counter() - start
-            marker = "==" if sharded_value == mono_value else "!="
-            print(
-                f"  {objective}: sharded {sharded_value:.6g} ({sharded_s:.3f}s) "
-                f"{marker} monolithic {mono_value:.6g} ({mono_s:.3f}s)"
-            )
 
-    # --- 2. parallelism: same stitched assignment from a process pool
-    with ShardedEngine(problem) as serial, ShardedEngine(
-        problem, parallel=True
-    ) as parallel:
-        same = (
-            serial.solve("mnu").assignment.ap_of_user
-            == parallel.solve("mnu").assignment.ap_of_user
-        )
-        print(f"\nprocess-pool solve identical to serial: {same}")
-
-    # --- 3. incrementality: churn re-solves only the touched shard
-    with ShardedEngine(problem) as engine:
-        engine.set_active([])  # the trace starts from an empty system
-        for event in generate_churn_trace(problem, 60):
-            engine.process_event(event)
-            engine.solve("mnu")
-        stats = engine.cache_stats
-        print(
-            f"after 60 churn events: {stats.hits} shard solves answered "
-            f"from cache, {stats.misses} recomputed "
-            f"(hit rate {stats.hit_rate():.0%})"
-        )
+    # --- 2. incrementality: churn re-solves only the touched shard
+    engine = ShardedEngine(problem)
+    engine.set_active([])  # the trace starts from an empty system
+    for event in generate_churn_trace(problem, 60):
+        engine.process_event(event)
+        engine.solve("mnu")
+    stats = engine.cache_stats
+    print(
+        f"after 60 churn events: {stats.hits} shard solves answered "
+        f"from cache, {stats.misses} recomputed "
+        f"(hit rate {stats.hit_rate():.0%})"
+    )
 
 
 if __name__ == "__main__":

@@ -9,9 +9,8 @@ check otherwise.
 
 ``python -m repro engine`` demonstrates the sharded association engine on
 a generated federated deployment: partitions the coverage graph, solves
-the chosen objectives per shard (optionally on a process pool), and —
-with ``--compare`` — checks the stitched objective values against the
-monolithic solvers.
+the chosen objectives per shard, and — with ``--compare`` — checks the
+stitched objective values against the monolithic solvers.
 
 ``python -m repro verify`` runs the correctness gate: every solver's
 output through the certificate checker plus the three differential
@@ -178,47 +177,40 @@ def run_engine(args: argparse.Namespace) -> int:
     )
     monolithic = {"mnu": solve_mnu, "bla": solve_bla, "mla": solve_mla}
     failures = 0
-    with ShardedEngine(
-        problem,
-        max_shard_users=args.max_shard_users,
-        parallel=args.parallel,
-        max_workers=args.workers,
-    ) as engine:
-        plan = engine.plan
-        print(
-            f"plan: {plan.n_components} coverage components -> "
-            f"{plan.n_shards} shards "
-            f"({len(plan.isolated_users)} isolated users, "
-            f"{len(plan.idle_aps)} idle APs)"
+    engine = ShardedEngine(problem, max_shard_users=args.max_shard_users)
+    plan = engine.plan
+    print(
+        f"plan: {plan.n_components} coverage components -> "
+        f"{plan.n_shards} shards "
+        f"({len(plan.isolated_users)} isolated users, "
+        f"{len(plan.idle_aps)} idle APs)"
+    )
+    for objective in objectives:
+        with tracing.timed("engine.cli-solve", objective=objective) as t:
+            solution = engine.solve(objective)
+        sharded_s = t.wall_s
+        line = (
+            f"  {objective}: value={solution.value():.6g} "
+            f"shards_solved={solution.n_resolved} "
+            f"time={sharded_s:.3f}s"
         )
-        for objective in objectives:
-            with tracing.timed("engine.cli-solve", objective=objective) as t:
-                solution = engine.solve(objective)
-            sharded_s = t.wall_s
-            line = (
-                f"  {objective}: value={solution.value():.6g} "
-                f"shards_solved={solution.n_resolved} "
-                f"time={sharded_s:.3f}s"
+        if args.compare:
+            with tracing.timed("engine.cli-monolithic", objective=objective) as t:
+                reference = monolithic[objective](problem).assignment
+            mono_s = t.wall_s
+            values = {
+                "mnu": float(reference.n_served),
+                "bla": reference.max_load(),
+                "mla": reference.total_load(),
+            }
+            match = abs(values[objective] - solution.value()) < 1e-12
+            line += (
+                f" | monolithic value={values[objective]:.6g} "
+                f"time={mono_s:.3f}s "
+                f"[{'match' if match else 'MISMATCH'}]"
             )
-            if args.compare:
-                with tracing.timed(
-                    "engine.cli-monolithic", objective=objective
-                ) as t:
-                    reference = monolithic[objective](problem).assignment
-                mono_s = t.wall_s
-                values = {
-                    "mnu": float(reference.n_served),
-                    "bla": reference.max_load(),
-                    "mla": reference.total_load(),
-                }
-                match = abs(values[objective] - solution.value()) < 1e-12
-                line += (
-                    f" | monolithic value={values[objective]:.6g} "
-                    f"time={mono_s:.3f}s "
-                    f"[{'match' if match else 'MISMATCH'}]"
-                )
-                failures += 0 if match else 1
-            print(line)
+            failures += 0 if match else 1
+        print(line)
     if failures:
         print(f"{failures} objective(s) diverged from the monolithic solver")
         return 1
@@ -457,14 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="pack small components into shards of at most this many users",
-    )
-    engine.add_argument(
-        "--parallel",
-        action="store_true",
-        help="solve shards on a process pool",
-    )
-    engine.add_argument(
-        "--workers", type=int, default=None, help="process-pool size"
     )
     engine.add_argument(
         "--compare",

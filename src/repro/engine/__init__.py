@@ -3,8 +3,8 @@
 Scales the paper's centralized MNU/BLA/MLA solvers to campus-sized
 instances by partitioning the AP–user coverage graph into independent
 shards (:mod:`repro.engine.partition`), solving each shard with the
-unmodified core solvers — serially or on a process pool
-(:mod:`repro.engine.executor`) — and stitching the results into a global
+unmodified core solvers in process, one after another
+(:mod:`repro.engine.executor`), and stitching the results into a global
 assignment that matches the monolithic solve exactly. A fingerprint-guarded
 cache (:mod:`repro.engine.incremental`) makes re-solves under churn
 proportional to the shards an event actually touched.
@@ -14,8 +14,6 @@ Entry point: :class:`repro.engine.ShardedEngine`.
 
 from repro.engine.engine import OBJECTIVES, EngineSolution, ShardedEngine
 from repro.engine.executor import (
-    ProcessBackend,
-    SerialBackend,
     stitch_mla,
     stitch_mnu,
     to_global_picks,
@@ -40,8 +38,6 @@ __all__ = [
     "Component",
     "EngineSolution",
     "OBJECTIVES",
-    "ProcessBackend",
-    "SerialBackend",
     "Shard",
     "ShardCache",
     "ShardPlan",

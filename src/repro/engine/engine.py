@@ -3,9 +3,9 @@
 :class:`ShardedEngine` is the operator-facing facade over the engine
 package: it partitions a problem once
 (:mod:`repro.engine.partition`), slices per-shard sub-problems
-(:mod:`repro.engine.shard`), dispatches the paper's centralized solvers
-per shard — serially or on a process pool (:mod:`repro.engine.executor`)
-— and keeps per-shard results in a fingerprint-guarded cache
+(:mod:`repro.engine.shard`), runs the paper's centralized solvers per
+shard, in process and in order (:mod:`repro.engine.executor`), and keeps
+per-shard results in a fingerprint-guarded cache
 (:mod:`repro.engine.incremental`) so churn events re-solve only the shards
 they touch.
 
@@ -14,20 +14,14 @@ Exactness contract:
 * ``mnu`` and ``mla`` return assignments whose objective values (and, for
   the full user set, whose user→AP maps) are *identical* to the monolithic
   :func:`~repro.core.mnu.solve_mnu` / :func:`~repro.core.mla.solve_mla`,
-  with or without the cache, serial or parallel. The MLA value is read
-  from the cached per-shard fragments' AP loads (see
+  with or without the cache. The MLA value is read from the cached
+  per-shard fragments' AP loads (see
   :func:`~repro.engine.executor.stitch_mla`), bit-identical to the
   stitched assignment's ``total_load()`` without building its ledger.
-* ``bla`` with ``bla_mode="exact"`` (the default) *is* the monolithic
-  :func:`~repro.core.bla.solve_bla`, run on the active sub-problem and
-  mapped back to global indices: its B* search compares global
-  quantities at every step, so it runs once per solve, in-process even
-  when ``parallel=True``, and does not use the per-shard cache.
-* ``bla`` with ``bla_mode="federated"`` runs an independent B* search per
-  shard and takes the max over shard max-loads. That *is* per-shard
-  cacheable — the incremental mode — but each shard's guess grid adapts to
-  its own load scale, so the stitched value may differ from (and is often
-  no worse than) the monolithic search's.
+* ``bla`` *is* the monolithic :func:`~repro.core.bla.solve_bla`, run on
+  the active sub-problem and mapped back to global indices: its B* search
+  compares global quantities at every step, so it runs once per solve
+  and does not use the per-shard cache.
 
 Active-user tracking: the engine maintains the set of multicast members
 (:meth:`join` / :meth:`leave` / :meth:`process_event` /
@@ -41,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.core.assignment import Assignment
 from repro.core.bla import solve_bla
@@ -49,9 +43,6 @@ from repro.core.errors import CoverageError, ModelError
 from repro.core.online import ChurnEvent
 from repro.core.problem import MulticastAssociationProblem
 from repro.engine.executor import (
-    ProcessBackend,
-    SerialBackend,
-    bla_shard_federated,
     mla_shard_raw,
     mnu_shard_raw,
     stitch_mla,
@@ -63,7 +54,6 @@ from repro.engine.partition import ShardPlan, plan_shards
 from repro.engine.shard import Shard, build_shards, stitch_assignment
 from repro.obs import counters as metrics
 from repro.obs import trace as tracing
-from repro.obs.remote import instrumented_map
 
 OBJECTIVES = ("mnu", "bla", "mla")
 
@@ -95,26 +85,15 @@ class ShardedEngine:
         problem: MulticastAssociationProblem,
         *,
         max_shard_users: int | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
-        bla_mode: str = "exact",
         cache: bool = True,
     ) -> None:
-        if bla_mode not in ("exact", "federated"):
-            raise ModelError(f"unknown bla_mode {bla_mode!r}")
         self.problem = problem
         self._max_shard_users = max_shard_users
         self.plan: ShardPlan = plan_shards(
             problem, max_shard_users=max_shard_users
         )
         self.shards: list[Shard] = build_shards(problem, self.plan)
-        self.bla_mode = bla_mode
         self._shard_of_user = self.plan.shard_of_user()
-        self._backend = (
-            ProcessBackend(max_workers=max_workers)
-            if parallel
-            else SerialBackend()
-        )
         self._use_cache = cache
         self._cache = ShardCache()
         self._active: set[int] = set(range(problem.n_users))
@@ -122,24 +101,9 @@ class ShardedEngine:
     # -- lifecycle -------------------------------------------------------
 
     @property
-    def parallel(self) -> bool:
-        """True when shard tasks run on the process pool."""
-        return self._backend.parallel
-
-    @property
     def max_shard_users(self) -> int | None:
         """The component-packing cap this engine was planned with."""
         return self._max_shard_users
-
-    def close(self) -> None:
-        """Shut down the process pool (no-op for the serial backend)."""
-        self._backend.close()
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     def swap_problem(self, problem: MulticastAssociationProblem) -> None:
         """Adopt a modified problem of the same shape, keeping the cache.
@@ -273,7 +237,6 @@ class ShardedEngine:
             "engine.solve",
             objective=objective,
             n_active=len(active_set),
-            parallel=self.parallel,
         ):
             if objective == "mnu":
                 solution = self._solve_cached(
@@ -287,9 +250,6 @@ class ShardedEngine:
                 solution = self._solve_cached(
                     "mla", active_set, mla_shard_raw, stitch_mla
                 )
-            elif self.bla_mode == "federated":
-                self._require_coverage(active_set)
-                solution = self._solve_bla_federated(active_set)
             else:
                 solution = self._solve_bla_exact(active_set)
         metrics.incr("engine.solves")
@@ -338,10 +298,10 @@ class ShardedEngine:
         self,
         objective: str,
         active_set: set[int],
-        worker: Callable[[MulticastAssociationProblem], object],
+        worker: Callable[[MulticastAssociationProblem], Any],
         stitch: Callable[..., tuple[Assignment, float]],
     ) -> tuple[Assignment, float, int, dict[str, object]]:
-        """The shared MNU/MLA path: per-shard cache → backend → stitch.
+        """The shared MNU/MLA path: per-shard cache → worker → stitch.
 
         Cache entries hold the shard's result *already remapped to global
         indices* — MNU's raw split halves, MLA's materialized fragment —
@@ -365,15 +325,12 @@ class ShardedEngine:
                 pending.append(i)
             else:
                 raws[i] = entry
-        subs = [live[i][0].slice(active_set) for i in pending]
-        solved = instrumented_map(
-            self._backend,
-            worker,
-            [sp.problem for sp in subs],
-            "engine.shard-solve",
-            objective=objective,
-        )
-        for i, shard_problem, raw in zip(pending, subs, solved, strict=True):
+        for task, i in enumerate(pending):
+            shard_problem = live[i][0].slice(active_set)
+            with tracing.span(
+                "engine.shard-solve", objective=objective, task=task
+            ):
+                raw = worker(shard_problem.problem)
             if objective == "mnu":
                 entry = (
                     to_global_picks(shard_problem, raw[0]),
@@ -399,8 +356,8 @@ class ShardedEngine:
         """The monolithic :func:`solve_bla` on the active sub-problem.
 
         The B* search compares global quantities at every step, so it
-        runs once over all active users, in-process (no backend, no
-        cache), and the result is mapped back to global user indices.
+        runs once over all active users, uncached, and the result is
+        mapped back to global user indices.
         """
         self._require_coverage(active_set)
         if not active_set:
@@ -421,62 +378,4 @@ class ShardedEngine:
             assignment.max_load(),
             len(self._live_shards(active_set)),
             {"b_star": result.b_star, "iterations": result.iterations},
-        )
-
-    def _solve_bla_federated(
-        self, active_set: set[int]
-    ) -> tuple[Assignment, float, int, dict[str, object]]:
-        live = self._live_shards(active_set)
-        entries: list[object | None] = [None] * len(live)
-        pending: list[int] = []
-        prints: list[str] = []
-        for i, (shard, users) in enumerate(live):
-            fingerprint = shard_fingerprint(self.problem, shard, users)
-            prints.append(fingerprint)
-            entry = (
-                self._cache.get("bla", shard.index, fingerprint)
-                if self._use_cache
-                else None
-            )
-            if entry is None:
-                pending.append(i)
-            else:
-                entries[i] = entry
-        subs = [live[i][0].slice(active_set) for i in pending]
-        solved = instrumented_map(
-            self._backend,
-            bla_shard_federated,
-            [sp.problem for sp in subs],
-            "engine.shard-solve",
-            objective="bla-federated",
-        )
-        for i, shard_problem, (local_map, b_star, iters) in zip(
-            pending, subs, solved, strict=True
-        ):
-            entry = (
-                tuple(shard_problem.map_assignment(local_map)),
-                b_star,
-                iters,
-            )
-            entries[i] = entry
-            if self._use_cache:
-                self._cache.put("bla", live[i][0].index, prints[i], entry)
-        pairs: list[tuple[int, int]] = []
-        b_star = 0.0
-        iterations = 0
-        for entry in entries:
-            shard_pairs, shard_b, shard_iters = entry
-            pairs.extend(shard_pairs)
-            b_star = max(b_star, shard_b)
-            iterations = max(iterations, shard_iters)
-        assignment = stitch_assignment(self.problem, pairs)
-        assignment.validate(check_budgets=False)
-        return (
-            assignment,
-            assignment.max_load(),
-            len(pending),
-            {
-                "b_star": b_star if entries else float("inf"),
-                "iterations": iterations,
-            },
         )

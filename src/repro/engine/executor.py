@@ -1,7 +1,7 @@
-"""Per-shard solver execution and exact stitching.
+"""Per-shard solver workers and exact stitching.
 
-Runs the paper's centralized solvers shard-by-shard — serially or on a
-``concurrent.futures.ProcessPoolExecutor`` — and stitches the shard results
+The engine runs the paper's centralized solvers shard by shard, in
+process and in order, and the functions here stitch the shard results
 back into one global :class:`~repro.core.assignment.Assignment`.
 
 The stitching is *exact*: the stitched assignment matches what the
@@ -16,11 +16,9 @@ the paper's algorithms are genuinely global:
   reports both halves raw, and :func:`stitch_mnu` picks one side globally.
 * **BLA** — the B* guess grid, the per-iteration H1/H2 choice inside the
   iterated-MNU loop, the feasibility verdict, the incumbent update and the
-  final rebalance guard all compare global quantities. Exact BLA
-  therefore does not run here at all: the engine calls the monolithic
-  :func:`~repro.core.bla.solve_bla` on the active sub-problem, in-process
-  even when the backend is a process pool. Only the federated mode's
-  independent per-shard searches (:func:`bla_shard_federated`) fan out.
+  final rebalance guard all compare global quantities. BLA therefore does
+  not run here at all: the engine calls the monolithic
+  :func:`~repro.core.bla.solve_bla` on the active sub-problem.
 
 MLA has no global decision at all; per-shard ``CostSC`` runs concatenate
 into exactly the monolithic cover. Each shard therefore hands back its
@@ -31,26 +29,23 @@ nothing outside the AP's shard, every AP lies in at most one shard, and
 loads is bit-identical to :meth:`~repro.core.assignment.Assignment.
 total_load` of the stitched assignment, without building its ledger.
 
-Worker payloads and results are plain picklable tuples so the process pool
-can ship them; every worker is deterministic, which is why the parallel
-path provably returns the same stitched assignment as the serial one.
+Shard results are plain tuples, so the engine's cache can hold them
+without keeping any solver state alive.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.assignment import Assignment, from_selected_sets
-from repro.core.bla import solve_bla
 from repro.core.candidates import CandidateSet
 from repro.core.mla import mla_cover
 from repro.core.mnu import augment_assignment, solve_mnu
 from repro.core.problem import MulticastAssociationProblem
 from repro.engine.shard import ShardProblem, stitch_assignment
 
-#: One selected candidate set, flattened for pickling/caching:
+#: One selected candidate set, flattened for caching:
 #: ``(ap, session, tx_rate, cost, users)``.
 SetPick = tuple[int, int, float, float, tuple[int, ...]]
 
@@ -59,42 +54,7 @@ SetPick = tuple[int, int, float, float, tuple[int, ...]]
 MlaFragment = tuple[tuple[tuple[int, int], ...], tuple[float, ...]]
 
 
-# -- execution backends ------------------------------------------------------
-
-
-class SerialBackend:
-    """Run shard tasks in-process, in order — the reference path."""
-
-    parallel = False
-
-    def map(self, fn: Callable, tasks: Sequence) -> list:
-        return [fn(task) for task in tasks]
-
-    def close(self) -> None:  # symmetry with ProcessBackend
-        return None
-
-
-class ProcessBackend:
-    """Run shard tasks on a ``ProcessPoolExecutor``.
-
-    Results come back in task order, and every worker is a deterministic
-    pure function of its payload, so this backend returns exactly what
-    :class:`SerialBackend` would — just faster on multi-core hosts.
-    """
-
-    parallel = True
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        self._pool = ProcessPoolExecutor(max_workers=max_workers)
-
-    def map(self, fn: Callable, tasks: Sequence) -> list:
-        return list(self._pool.map(fn, tasks))
-
-    def close(self) -> None:
-        self._pool.shutdown()
-
-
-# -- pickling helpers --------------------------------------------------------
+# -- result helpers ----------------------------------------------------------
 
 
 def _pick(candidate: CandidateSet) -> SetPick:
@@ -136,7 +96,7 @@ def _selections(
     return ((ap, session, tx_rate, users) for ap, session, tx_rate, _, users in picks)
 
 
-# -- shard workers (top-level so the process pool can pickle them) -----------
+# -- shard workers -----------------------------------------------------------
 
 
 def mnu_shard_raw(
@@ -171,23 +131,6 @@ def mla_shard_raw(
         ),
     ).validate(check_budgets=False)
     return assignment.ap_of_user, assignment.loads()
-
-
-def bla_shard_federated(
-    sub: MulticastAssociationProblem,
-) -> tuple[tuple[int | None, ...], float, int]:
-    """Full per-shard Centralized BLA (the federated / incremental mode).
-
-    Each shard runs its own B* search. The stitched max-load is the max
-    over shard max-loads; it can differ from (and is typically no worse
-    than) the monolithic search, whose guess grid spans all shards at once.
-    """
-    solution = solve_bla(sub)
-    return (
-        tuple(solution.assignment.ap_of_user),
-        solution.b_star,
-        solution.iterations,
-    )
 
 
 # -- stitching ---------------------------------------------------------------

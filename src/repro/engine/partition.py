@@ -188,9 +188,9 @@ def plan_shards(
     """Partition ``problem`` into solve shards.
 
     With ``max_shard_users=None`` every coverage component becomes its own
-    shard (maximal parallelism); with a cap, small components are packed
-    into balanced shards of at most that many users (fewer, beefier solver
-    invocations — better when per-task overhead dominates).
+    shard (the finest cache granularity); with a cap, small components are
+    packed into balanced shards of at most that many users (fewer, beefier
+    solver invocations — better when per-shard overhead dominates).
     """
     components, isolated_users, idle_aps = coverage_components(problem)
     shards = (

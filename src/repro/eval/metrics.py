@@ -156,8 +156,7 @@ def _engine(
     problem: MulticastAssociationProblem, objective: str
 ) -> Assignment:
     # One-shot solves: the fingerprint cache only pays off across calls.
-    with ShardedEngine(problem, cache=False) as engine:
-        return engine.solve(objective).assignment
+    return ShardedEngine(problem, cache=False).solve(objective).assignment
 
 
 def _e_mla(

@@ -19,12 +19,11 @@ What each rule reads is declared in :mod:`repro.lint.tables`:
   solver entry point (:data:`~repro.lint.tables.BLOCKING_SINKS`),
   printing the full path.
 * RPL008 finds callables submitted across the process-pool boundary —
-  through :data:`~repro.lint.tables.POOL_SUBMIT_FUNCTIONS`, through
-  ``map``/``submit`` on a :data:`~repro.lint.tables.POOL_BACKEND_CLASSES`
-  receiver, or through a parameter receiver *inside* a declared submit
-  seam — and flags workers that are unpicklable (lambdas, closures,
-  bound methods) or that transitively write module-level state or call
-  live-state mutators (:data:`~repro.lint.tables.STATE_MUTATORS`).
+  through ``map``/``submit`` on a
+  :data:`~repro.lint.tables.POOL_BACKEND_CLASSES` receiver — and flags
+  workers that are unpicklable (lambdas, closures, bound methods) or
+  that transitively write module-level state or call live-state
+  mutators (:data:`~repro.lint.tables.STATE_MUTATORS`).
 * RPL009 flags ``except`` handlers that swallow (broad/bare, no
   re-raise, no restore call, no ``finally``) after the ``try`` body
   already called a state mutator — and, on the control-plane tick path
@@ -45,7 +44,6 @@ from repro.lint.tables import (
     BLOCKING_PREFIXES,
     BLOCKING_SINKS,
     POOL_BACKEND_CLASSES,
-    POOL_SUBMIT_FUNCTIONS,
     POOL_SUBMIT_METHODS,
     STATE_MUTATORS,
     TICK_PATH_ROOTS,
@@ -187,35 +185,16 @@ class PoolShareRule:
         context = site.context
         if context is None:
             return False
-        resolved = graph.resolve(fn, context)
-        dotted = resolved.dotted
-        if dotted is not None:
-            # a declared submit function (instrumented_map)
-            want_index = POOL_SUBMIT_FUNCTIONS.get(dotted)
-            if want_index is not None and site.arg_index == want_index:
-                return True
-            # .map/.submit on a receiver typed as a pool backend
-            owner, _, method = dotted.rpartition(".")
-            if (
-                method in POOL_SUBMIT_METHODS
-                and site.arg_index == 0
-                and owner in POOL_BACKEND_CLASSES
-            ):
-                return True
-        # inside a declared submit seam, ``param.map(worker, ...)``
-        # forwards the worker to whatever pool backend the caller chose
-        if (
-            fn.dotted in POOL_SUBMIT_FUNCTIONS
+        dotted = graph.resolve(fn, context).dotted
+        if dotted is None:
+            return False
+        # .map/.submit on a receiver typed as a pool backend
+        owner, _, method = dotted.rpartition(".")
+        return (
+            method in POOL_SUBMIT_METHODS
             and site.arg_index == 0
-            and "." in context
-        ):
-            root, _, method = context.rpartition(".")
-            if (
-                method in POOL_SUBMIT_METHODS
-                and root.split(".", 1)[0] in fn.params
-            ):
-                return True
-        return False
+            and owner in POOL_BACKEND_CLASSES
+        )
 
     def _check_worker(
         self, graph: CallGraph, fn: FunctionSummary, site: CallSite

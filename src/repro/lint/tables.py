@@ -146,7 +146,6 @@ BLOCKING_SINKS: frozenset[str] = frozenset(
         "repro.core.bla.solve_bla",
         "repro.core.mla.solve_mla",
         "repro.core.distributed.run_distributed",
-        "repro.obs.remote.instrumented_map",
         "repro.obs.bench.run_bench",
     }
 )
@@ -158,13 +157,6 @@ EXECUTOR_SHIELDS: frozenset[str] = frozenset(
     {"run_in_executor", "to_thread"}
 )
 
-#: Functions that submit work across the process-pool boundary (RPL008),
-#: by resolved dotted name, mapped to the positional index of the
-#: submitted callable.
-POOL_SUBMIT_FUNCTIONS: dict[str, int] = {
-    "repro.obs.remote.instrumented_map": 1,
-}
-
 #: Classes whose ``map``/``submit`` methods ship their callable to
 #: another process (RPL008). Matching is on the receiver's statically
 #: inferred class (constructor assignment or annotation).
@@ -172,7 +164,6 @@ POOL_BACKEND_CLASSES: frozenset[str] = frozenset(
     {
         "ProcessPoolExecutor",
         "concurrent.futures.ProcessPoolExecutor",
-        "repro.engine.executor.ProcessBackend",
     }
 )
 

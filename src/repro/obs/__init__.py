@@ -5,7 +5,7 @@ The package has three layers, all off by default and all behavior-neutral
 assignment):
 
 * :mod:`repro.obs.trace` — nestable spans (``span("mcg.greedy")``) with
-  wall/CPU time, a thread-safe collector, JSON export/merge.
+  wall/CPU time, a thread-safe collector, JSON export.
 * :mod:`repro.obs.counters` — named counters/gauges/histograms (greedy
   rounds, B* probes, cache hits/misses, per-solver load gauges).
 * :mod:`repro.obs.bench` — the pinned benchmark suite behind

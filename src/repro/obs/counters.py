@@ -14,20 +14,14 @@ instrumentation at zero behavioral and near-zero runtime cost.
 * **histograms** collect observations (``observe``) with a bounded sample
   reservoir and report count/sum/min/max and nearest-rank p50/p95.
 
-Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-able dicts;
-:meth:`MetricsRegistry.export` additionally carries raw histogram samples
-so worker-process registries can be merged losslessly into the parent's
-(:meth:`MetricsRegistry.merge`).
+Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-able dicts.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from typing import Any, Mapping, Sequence
-
-METRICS_KIND = "repro-metrics"
-METRICS_VERSION = 1
+from typing import Sequence
 
 #: Per-histogram reservoir cap; beyond it, count/sum/min/max stay exact
 #: while percentiles are computed over the first ``CAP`` samples.
@@ -73,16 +67,13 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         """Record one histogram observation."""
         with self._lock:
-            self._observe_locked(name, value)
-
-    def _observe_locked(self, name: str, value: float) -> None:
-        samples = self._samples.setdefault(name, [])
-        if len(samples) < HISTOGRAM_SAMPLE_CAP:
-            samples.append(value)
-        self._hist_count[name] = self._hist_count.get(name, 0) + 1
-        self._hist_sum[name] = self._hist_sum.get(name, 0.0) + value
-        self._hist_min[name] = min(self._hist_min.get(name, value), value)
-        self._hist_max[name] = max(self._hist_max.get(name, value), value)
+            samples = self._samples.setdefault(name, [])
+            if len(samples) < HISTOGRAM_SAMPLE_CAP:
+                samples.append(value)
+            self._hist_count[name] = self._hist_count.get(name, 0) + 1
+            self._hist_sum[name] = self._hist_sum.get(name, 0.0) + value
+            self._hist_min[name] = min(self._hist_min.get(name, value), value)
+            self._hist_max[name] = max(self._hist_max.get(name, value), value)
 
     def reset(self) -> None:
         """Drop every counter, gauge and histogram."""
@@ -138,39 +129,6 @@ class MetricsRegistry:
                     name: self._summary_locked(name) for name in self._hist_count
                 },
             }
-
-    # -- export / merge (cross-process aggregation) ----------------------
-
-    def export(self) -> dict:
-        """Like :meth:`snapshot` but carrying raw histogram samples, so a
-        parent registry can merge it losslessly."""
-        with self._lock:
-            return {
-                "kind": METRICS_KIND,
-                "version": METRICS_VERSION,
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "samples": {k: list(v) for k, v in self._samples.items()},
-            }
-
-    def merge(self, blob: Mapping[str, Any]) -> None:
-        """Absorb an :meth:`export` blob: counters add, gauges overwrite,
-        histogram samples append."""
-        if blob.get("kind") != METRICS_KIND:
-            raise ValueError(
-                f"not a {METRICS_KIND} document: {blob.get('kind')!r}"
-            )
-        if blob.get("version") != METRICS_VERSION:
-            raise ValueError(
-                f"unsupported metrics version {blob.get('version')!r}"
-            )
-        with self._lock:
-            for name, amount in blob.get("counters", {}).items():
-                self._counters[name] = self._counters.get(name, 0) + amount
-            self._gauges.update(blob.get("gauges", {}))
-            for name, values in blob.get("samples", {}).items():
-                for value in values:
-                    self._observe_locked(name, value)
 
 
 # -- module-level switch -----------------------------------------------------

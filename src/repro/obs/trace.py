@@ -12,11 +12,6 @@ context manager unless a collector has been installed with
 nothing else. Installing a collector never changes solver *behavior* —
 instrumentation only reads, times and counts (the
 ``tests/obs/test_noop_equivalence.py`` suite pins this).
-
-Cross-process runs (``ProcessPoolExecutor`` shard workers) capture spans
-into a worker-local collector and ship the :meth:`TraceCollector.export`
-blob back with the result; the parent merges it via
-:meth:`TraceCollector.merge` (see :mod:`repro.obs.remote`).
 """
 
 from __future__ import annotations
@@ -145,7 +140,7 @@ class TraceCollector:
         with self._lock:
             self._records.clear()
 
-    # -- export / import / merge -----------------------------------------
+    # -- export / import -------------------------------------------------
 
     def export(self) -> dict:
         """A JSON-able snapshot of every closed span."""
@@ -158,51 +153,16 @@ class TraceCollector:
     @classmethod
     def from_export(cls, blob: Mapping[str, Any]) -> "TraceCollector":
         """Rebuild a collector from an :meth:`export` blob."""
-        collector = cls()
-        collector.merge(blob)
-        return collector
-
-    def merge(
-        self,
-        blob: Mapping[str, Any],
-        extra_attrs: Mapping[str, Any] | None = None,
-    ) -> int:
-        """Absorb an exported blob (e.g. from a pool worker); re-indexes
-        the incoming spans past this collector's own and returns how many
-        were merged. ``extra_attrs`` is stamped onto every merged span.
-        """
         if blob.get("kind") != TRACE_KIND:
             raise ValueError(f"not a {TRACE_KIND} document: {blob.get('kind')!r}")
         if blob.get("version") != TRACE_VERSION:
             raise ValueError(f"unsupported trace version {blob.get('version')!r}")
-        spans = [SpanRecord.from_dict(s) for s in blob.get("spans", [])]
-        if not spans:
-            return 0
-        with self._lock:
-            base = self._n_opened
-            self._n_opened += max(s.index for s in spans) + 1
-            for span_record in spans:
-                attrs = dict(span_record.attrs)
-                if extra_attrs:
-                    attrs.update(extra_attrs)
-                self._records.append(
-                    SpanRecord(
-                        name=span_record.name,
-                        index=base + span_record.index,
-                        parent=(
-                            None
-                            if span_record.parent is None
-                            else base + span_record.parent
-                        ),
-                        depth=span_record.depth,
-                        thread=span_record.thread,
-                        wall_s=span_record.wall_s,
-                        cpu_s=span_record.cpu_s,
-                        status=span_record.status,
-                        attrs=attrs,
-                    )
-                )
-        return len(spans)
+        collector = cls()
+        collector._records = [SpanRecord.from_dict(s) for s in blob.get("spans", [])]
+        collector._n_opened = 1 + max(
+            (r.index for r in collector._records), default=-1
+        )
+        return collector
 
 
 # -- module-level switch -----------------------------------------------------
@@ -231,7 +191,7 @@ def uninstall() -> TraceCollector | None:
 
 def _set_active(collector: TraceCollector | None) -> None:
     """Set the active collector directly (``None`` disables). Used by
-    save/restore code paths such as worker-side capture."""
+    save/restore code paths such as :func:`repro.obs.collecting`."""
     global _collector
     _collector = collector
 

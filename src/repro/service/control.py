@@ -30,7 +30,7 @@ wrapper (:mod:`repro.service.loop`) stays a thin scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Literal, Mapping, Sequence
 
 from repro.core import instrument
 from repro.core.assignment import Assignment
@@ -111,11 +111,15 @@ class ControlService:
         *,
         algorithm: str = "mla",
         max_shard_users: int | None = None,
-        parallel: bool = False,
-        max_workers: int | None = None,
         initial_active: Iterable[int] | None = None,
         solve_on_init: bool = True,
+        parallel: Literal[False] = False,
     ) -> None:
+        """``parallel`` exists only because ``perfbench/churn.py`` still
+        passes ``parallel=False``. The engine is serial; any truthy value
+        raises :class:`~repro.core.errors.ModelError`."""
+        if parallel:
+            raise ModelError("the sharded engine has no parallel mode")
         if algorithm not in OBJECTIVES:
             raise ModelError(f"unknown algorithm {algorithm!r}")
         self.algorithm = algorithm
@@ -127,12 +131,7 @@ class ControlService:
         self._session_names: list[str] = [s.name for s in problem.sessions]
         self._session_policies: list[str] = list(problem.session_policies)
         self.problem = problem
-        self.engine = ShardedEngine(
-            problem,
-            max_shard_users=max_shard_users,
-            parallel=parallel,
-            max_workers=max_workers,
-        )
+        self.engine = ShardedEngine(problem, max_shard_users=max_shard_users)
         self._active: set[int] = (
             set(range(problem.n_users))
             if initial_active is None
@@ -159,10 +158,6 @@ class ControlService:
             return Assignment.empty(self.problem)
         return self.solution.assignment
 
-    def close(self) -> None:
-        """Release engine resources (the process pool, when parallel)."""
-        self.engine.close()
-
     def current_problem(self) -> MulticastAssociationProblem:
         """The problem instance for the *current* cumulative state.
 
@@ -178,11 +173,11 @@ class ControlService:
         sub-problems mean this must equal the incrementally maintained
         :attr:`solution` exactly.
         """
-        with ShardedEngine(
+        cold = ShardedEngine(
             self.problem, max_shard_users=self.engine.max_shard_users
-        ) as cold:
-            cold.set_active(self._active)
-            return cold.solve(self.algorithm)
+        )
+        cold.set_active(self._active)
+        return cold.solve(self.algorithm)
 
     # -- tick application ------------------------------------------------
 

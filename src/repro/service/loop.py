@@ -162,7 +162,6 @@ class AssociationService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        self.control.close()
 
     # -- the tick loop ---------------------------------------------------
 

@@ -203,47 +203,43 @@ def sharded_vs_monolithic(
     problem: MulticastAssociationProblem,
     objectives: Sequence[str] = ("mnu", "bla", "mla"),
     *,
-    parallel: bool = False,
     max_shard_users: int | None = None,
     tol: float = DEFAULT_TOL,
 ) -> OracleReport:
     """Cross-check the sharded engine against the monolithic solvers.
 
-    For every objective the engine claims exactness on (MNU, MLA, and BLA
-    in its default ``exact`` mode), the stitched user→AP map and the
-    objective value must both match the monolithic solve bit for bit.
+    For every objective (MNU, BLA and MLA), the stitched user→AP map and
+    the objective value must both match the monolithic solve bit for bit.
     """
     discrepancies: list[Discrepancy] = []
     stats: dict[str, float] = {}
     chosen = _eligible_objectives(problem, objectives)
-    with ShardedEngine(
-        problem, parallel=parallel, max_shard_users=max_shard_users
-    ) as engine:
-        stats["n_shards"] = float(engine.plan.n_shards)
-        for objective in chosen:
-            solution = engine.solve(objective)
-            reference = _MONOLITHIC[objective](problem)
-            sharded_value = solution.value()
-            mono_value = _objective_value(objective, reference)
-            stats[f"{objective}_value"] = mono_value
-            if abs(sharded_value - mono_value) > tol:
-                discrepancies.append(
-                    Discrepancy(
-                        "sharded-vs-monolithic",
-                        f"{objective}-value-mismatch",
-                        f"sharded {objective} value {sharded_value!r} != "
-                        f"monolithic {mono_value!r}",
-                    )
+    engine = ShardedEngine(problem, max_shard_users=max_shard_users)
+    stats["n_shards"] = float(engine.plan.n_shards)
+    for objective in chosen:
+        solution = engine.solve(objective)
+        reference = _MONOLITHIC[objective](problem)
+        sharded_value = solution.value()
+        mono_value = _objective_value(objective, reference)
+        stats[f"{objective}_value"] = mono_value
+        if abs(sharded_value - mono_value) > tol:
+            discrepancies.append(
+                Discrepancy(
+                    "sharded-vs-monolithic",
+                    f"{objective}-value-mismatch",
+                    f"sharded {objective} value {sharded_value!r} != "
+                    f"monolithic {mono_value!r}",
                 )
-            if solution.assignment.ap_of_user != reference.ap_of_user:
-                discrepancies.append(
-                    Discrepancy(
-                        "sharded-vs-monolithic",
-                        f"{objective}-map-mismatch",
-                        f"sharded {objective} user→AP map differs from the "
-                        "monolithic solver's",
-                    )
+            )
+        if solution.assignment.ap_of_user != reference.ap_of_user:
+            discrepancies.append(
+                Discrepancy(
+                    "sharded-vs-monolithic",
+                    f"{objective}-map-mismatch",
+                    f"sharded {objective} user→AP map differs from the "
+                    "monolithic solver's",
                 )
+            )
     return OracleReport(
         "sharded-vs-monolithic", tuple(discrepancies), stats
     )
@@ -287,10 +283,9 @@ def incremental_vs_cold(
     ``steps`` is a sequence of active-user sets (membership after each
     churn batch); by default a generated full ↔ subset sequence with
     revisits so the fingerprint cache actually serves hits. MNU and MLA
-    go through the per-shard pick cache; BLA runs in ``federated`` mode,
-    the engine's cacheable BLA path. The ``exact`` mode is a plain
-    in-process :func:`~repro.core.bla.solve_bla` on the active users,
-    uncached even with ``parallel=True``, so warm == cold trivially there.
+    go through the per-shard cache; BLA is a plain
+    :func:`~repro.core.bla.solve_bla` on the active users, uncached, so
+    warm == cold holds trivially there.
     """
     if steps is None:
         steps = _default_membership_steps(problem, seed, n_steps)
@@ -300,47 +295,41 @@ def incremental_vs_cold(
     chosen = _eligible_objectives(problem, objectives)
     everyone = frozenset(range(problem.n_users))
 
-    def compare(objective: str, bla_mode: str) -> None:
-        with ShardedEngine(
-            problem, cache=True, bla_mode=bla_mode
-        ) as warm:
-            for index, active in enumerate(step_sets):
-                warm_solution = warm.solve(objective, active=active)
-                with ShardedEngine(
-                    problem, cache=False, bla_mode=bla_mode
-                ) as cold:
-                    cold_solution = cold.solve(objective, active=active)
-                warm_value = warm_solution.value()
-                cold_value = cold_solution.value()
-                if abs(warm_value - cold_value) > tol:
-                    discrepancies.append(
-                        Discrepancy(
-                            "incremental-vs-cold",
-                            f"{objective}-value-drift",
-                            f"step {index}: warm {objective} value "
-                            f"{warm_value!r} != cold {cold_value!r}",
-                        )
-                    )
-                if (
-                    warm_solution.assignment.ap_of_user
-                    != cold_solution.assignment.ap_of_user
-                ):
-                    discrepancies.append(
-                        Discrepancy(
-                            "incremental-vs-cold",
-                            f"{objective}-map-drift",
-                            f"step {index}: warm {objective} user→AP map "
-                            "differs from a cold re-solve",
-                        )
-                    )
-                if active == everyone:
-                    stats.setdefault(f"{objective}_value", cold_value)
-            warm_stats = warm.cache_stats
-            stats[f"{objective}_cache_hits"] = float(warm_stats.hits)
-            stats[f"{objective}_cache_misses"] = float(warm_stats.misses)
-
     for objective in chosen:
-        compare(objective, "federated" if objective == "bla" else "exact")
+        warm = ShardedEngine(problem, cache=True)
+        for index, active in enumerate(step_sets):
+            warm_solution = warm.solve(objective, active=active)
+            cold_solution = ShardedEngine(problem, cache=False).solve(
+                objective, active=active
+            )
+            warm_value = warm_solution.value()
+            cold_value = cold_solution.value()
+            if abs(warm_value - cold_value) > tol:
+                discrepancies.append(
+                    Discrepancy(
+                        "incremental-vs-cold",
+                        f"{objective}-value-drift",
+                        f"step {index}: warm {objective} value "
+                        f"{warm_value!r} != cold {cold_value!r}",
+                    )
+                )
+            if (
+                warm_solution.assignment.ap_of_user
+                != cold_solution.assignment.ap_of_user
+            ):
+                discrepancies.append(
+                    Discrepancy(
+                        "incremental-vs-cold",
+                        f"{objective}-map-drift",
+                        f"step {index}: warm {objective} user→AP map "
+                        "differs from a cold re-solve",
+                    )
+                )
+            if active == everyone:
+                stats.setdefault(f"{objective}_value", cold_value)
+        warm_stats = warm.cache_stats
+        stats[f"{objective}_cache_hits"] = float(warm_stats.hits)
+        stats[f"{objective}_cache_misses"] = float(warm_stats.misses)
     return OracleReport("incremental-vs-cold", tuple(discrepancies), stats)
 
 

@@ -29,8 +29,8 @@ def pytest_collection_modifyitems(config, items):
     """Skip ``scale``-marked items unless the -m expression asks for them.
 
     The 50k/100k-user cells allocate hundred-MB rate matrices and run for
-    tens of seconds — strictly opt-in (``-m scale``), unlike ``slow``
-    which stays in the default run.
+    tens of seconds — strictly opt-in (``-m scale``). The same holds for
+    the full mobility ladder (``-m mobility``).
     """
     markexpr = config.option.markexpr or ""
     opt_in_only = {

@@ -34,8 +34,8 @@ SEEDS = [0, 1, 2, 3, 4]
 def test_mnu_matches_monolithic(seed):
     problem = block_problem(seed)
     reference = solve_mnu(problem)
-    with ShardedEngine(problem) as engine:
-        solution = engine.solve("mnu")
+    engine = ShardedEngine(problem)
+    solution = engine.solve("mnu")
     assert solution.assignment.ap_of_user == reference.assignment.ap_of_user
 
 
@@ -43,8 +43,8 @@ def test_mnu_matches_monolithic(seed):
 def test_mnu_augmented_matches_monolithic(seed):
     problem = block_problem(seed, budget=0.3)  # tight budgets leave leftovers
     reference = solve_mnu(problem, augment=True)
-    with ShardedEngine(problem) as engine:
-        solution = engine.solve("mnu", augment=True)
+    engine = ShardedEngine(problem)
+    solution = engine.solve("mnu", augment=True)
     assert solution.assignment.ap_of_user == reference.assignment.ap_of_user
 
 
@@ -52,8 +52,8 @@ def test_mnu_augmented_matches_monolithic(seed):
 def test_mla_matches_monolithic(seed):
     problem = block_problem(seed)
     reference = solve_mla(problem)
-    with ShardedEngine(problem) as engine:
-        solution = engine.solve("mla")
+    engine = ShardedEngine(problem)
+    solution = engine.solve("mla")
     assert solution.assignment.ap_of_user == reference.assignment.ap_of_user
 
 
@@ -61,8 +61,8 @@ def test_mla_matches_monolithic(seed):
 def test_bla_matches_monolithic(seed):
     problem = block_problem(seed)
     reference = solve_bla(problem)
-    with ShardedEngine(problem) as engine:
-        solution = engine.solve("bla")
+    engine = ShardedEngine(problem)
+    solution = engine.solve("bla")
     assert solution.assignment.ap_of_user == reference.assignment.ap_of_user
     assert solution.b_star == reference.b_star
     assert solution.iterations == reference.iterations
@@ -72,10 +72,10 @@ def test_federation_acceptance(federation_problem):
     """The ISSUE's acceptance scenario: >= 5 components, identical values."""
     plan = plan_shards(federation_problem)
     assert plan.n_components >= 5
-    with ShardedEngine(federation_problem) as engine:
-        mnu = engine.solve("mnu")
-        bla = engine.solve("bla")
-        mla = engine.solve("mla")
+    engine = ShardedEngine(federation_problem)
+    mnu = engine.solve("mnu")
+    bla = engine.solve("bla")
+    mla = engine.solve("mla")
     assert mnu.assignment.n_served == solve_mnu(federation_problem).assignment.n_served
     assert bla.assignment.max_load() == solve_bla(
         federation_problem
@@ -92,19 +92,19 @@ def test_single_component_instances(seed):
     problem = random_problem(rng, n_aps=6, n_users=18, n_sessions=2)
     if problem.isolated_users():
         pytest.skip("isolated draw; covered by the isolated-user tests")
-    with ShardedEngine(problem) as engine:
-        assert (
-            engine.solve("mnu").assignment.ap_of_user
-            == solve_mnu(problem).assignment.ap_of_user
-        )
-        assert (
-            engine.solve("bla").assignment.ap_of_user
-            == solve_bla(problem).assignment.ap_of_user
-        )
-        assert (
-            engine.solve("mla").assignment.ap_of_user
-            == solve_mla(problem).assignment.ap_of_user
-        )
+    engine = ShardedEngine(problem)
+    assert (
+        engine.solve("mnu").assignment.ap_of_user
+        == solve_mnu(problem).assignment.ap_of_user
+    )
+    assert (
+        engine.solve("bla").assignment.ap_of_user
+        == solve_bla(problem).assignment.ap_of_user
+    )
+    assert (
+        engine.solve("mla").assignment.ap_of_user
+        == solve_mla(problem).assignment.ap_of_user
+    )
 
 
 def _with_isolated_user():
@@ -118,8 +118,8 @@ def _with_isolated_user():
 
 def test_isolated_users_mnu_left_unserved():
     problem = _with_isolated_user()
-    with ShardedEngine(problem) as engine:
-        solution = engine.solve("mnu")
+    engine = ShardedEngine(problem)
+    solution = engine.solve("mnu")
     assert solution.assignment.ap_of(2) is None
     assert (
         solution.assignment.n_served
@@ -130,13 +130,13 @@ def test_isolated_users_mnu_left_unserved():
 @pytest.mark.parametrize("objective", ["bla", "mla"])
 def test_isolated_users_full_coverage_rejected(objective):
     problem = _with_isolated_user()
-    with ShardedEngine(problem) as engine:
-        with pytest.raises(CoverageError) as full:
-            engine.solve(objective)
-        # Without user 0 the isolated user 2 is local index 1 of the
-        # restricted problem; the error must still name it globally.
-        with pytest.raises(CoverageError) as subset:
-            engine.solve(objective, active=[1, 2])
+    engine = ShardedEngine(problem)
+    with pytest.raises(CoverageError) as full:
+        engine.solve(objective)
+    # Without user 0 the isolated user 2 is local index 1 of the
+    # restricted problem; the error must still name it globally.
+    with pytest.raises(CoverageError) as subset:
+        engine.solve(objective, active=[1, 2])
     assert full.value.uncovered == [2]
     assert subset.value.uncovered == [2]
 
@@ -152,9 +152,9 @@ def test_active_subset_matches_restricted_monolithic(objective):
     restricted, keep = problem.restricted_to_users(active)
     solver = {"mnu": solve_mnu, "bla": solve_bla, "mla": solve_mla}[objective]
     reference = solver(restricted).assignment
-    with ShardedEngine(problem) as engine:
-        engine.set_active(active)
-        solution = engine.solve(objective)
+    engine = ShardedEngine(problem)
+    engine.set_active(active)
+    solution = engine.solve(objective)
     for local, global_user in enumerate(keep):
         assert solution.assignment.ap_of(global_user) == reference.ap_of(local)
     for user in sorted(dropped_shard | thinned):
@@ -165,23 +165,23 @@ def test_merged_shards_preserve_exactness():
     """Packing several components into one shard must not change results."""
     problem = block_problem(9, n_blocks=6, users_per=4)
     reference = solve_mla(problem).assignment
-    with ShardedEngine(problem, max_shard_users=10) as engine:
-        assert engine.plan.n_shards < engine.plan.n_components
-        solution = engine.solve("mla")
+    engine = ShardedEngine(problem, max_shard_users=10)
+    assert engine.plan.n_shards < engine.plan.n_components
+    solution = engine.solve("mla")
     assert solution.assignment.ap_of_user == reference.ap_of_user
 
 
 def test_no_active_users_yields_empty_assignment():
     problem = block_problem(11, n_blocks=2)
-    with ShardedEngine(problem) as engine:
-        engine.set_active([])
-        for objective in ("mnu", "bla", "mla"):
-            solution = engine.solve(objective)
-            assert solution.assignment.n_served == 0
-            assert solution.value() == 0.0
-            if objective == "bla":
-                assert solution.b_star == math.inf
-                assert solution.iterations == 0
+    engine = ShardedEngine(problem)
+    engine.set_active([])
+    for objective in ("mnu", "bla", "mla"):
+        solution = engine.solve(objective)
+        assert solution.assignment.n_served == 0
+        assert solution.value() == 0.0
+        if objective == "bla":
+            assert solution.b_star == math.inf
+            assert solution.iterations == 0
 
 
 def _mla_instance(kind: str) -> tuple[MulticastAssociationProblem, int | None]:
@@ -208,15 +208,10 @@ _POLICY_MIXES = {
 }
 
 
-@pytest.mark.parametrize(
-    "parallel", [False, pytest.param(True, marks=pytest.mark.slow)]
-)
 @pytest.mark.parametrize("policies", sorted(_POLICY_MIXES))
 @pytest.mark.parametrize("share", [1.0, 0.6])
 @pytest.mark.parametrize("kind", ["federation", "blocks", "one-shard"])
-def test_mla_value_is_bit_identical_to_monolithic(
-    kind, share, policies, parallel
-):
+def test_mla_value_is_bit_identical_to_monolithic(kind, share, policies):
     """The engine's MLA objective (the ``fsum`` of the per-shard fragment
     loads) equals the monolithic total load and a fresh ledger's, to the
     last bit, and the map equals the monolithic map."""
@@ -231,15 +226,13 @@ def test_mla_value_is_bit_identical_to_monolithic(
     )
     restricted, keep = problem.restricted_to_users(active)
     reference = solve_mla(restricted).assignment
-    with ShardedEngine(
-        problem, max_shard_users=cap, parallel=parallel, max_workers=2
-    ) as engine:
-        if kind == "one-shard":
-            assert engine.plan.n_shards == 1
-        else:
-            assert engine.plan.n_shards > 1
-        engine.set_active(active)
-        solution = engine.solve("mla")
+    engine = ShardedEngine(problem, max_shard_users=cap)
+    if kind == "one-shard":
+        assert engine.plan.n_shards == 1
+    else:
+        assert engine.plan.n_shards > 1
+    engine.set_active(active)
+    solution = engine.solve("mla")
     expected = [None] * problem.n_users
     for local, global_user in enumerate(keep):
         expected[global_user] = reference.ap_of(local)

@@ -97,8 +97,7 @@ class TestFingerprint:
 class TestEngineCache:
     @pytest.fixture
     def engine(self):
-        with ShardedEngine(block_problem(31, n_blocks=5)) as engine:
-            yield engine
+        return ShardedEngine(block_problem(31, n_blocks=5))
 
     def test_first_solve_all_misses_then_all_hits(self, engine):
         n = engine.plan.n_shards
@@ -127,17 +126,6 @@ class TestEngineCache:
         assert after.cache_hits == n - 1
         assert after.n_resolved == 1
 
-    def test_federated_bla_caches_per_shard(self):
-        problem = block_problem(32, n_blocks=4)
-        with ShardedEngine(problem, bla_mode="federated") as engine:
-            n = engine.plan.n_shards
-            first = engine.solve("bla")
-            assert first.cache_misses == n
-            engine.leave(engine.plan.shards[0].users[0])
-            second = engine.solve("bla")
-            assert second.cache_misses == 1
-            assert second.cache_hits == n - 1
-
     def test_exact_bla_does_not_touch_the_cache(self, engine):
         solution = engine.solve("bla")
         assert solution.cache_hits == 0
@@ -145,10 +133,10 @@ class TestEngineCache:
 
     def test_cache_disabled_keeps_zero_counters(self):
         problem = block_problem(33, n_blocks=3)
-        with ShardedEngine(problem, cache=False) as engine:
-            solution = engine.solve("mnu")
-            assert (solution.cache_hits, solution.cache_misses) == (0, 0)
-            assert solution.n_resolved == engine.plan.n_shards
+        engine = ShardedEngine(problem, cache=False)
+        solution = engine.solve("mnu")
+        assert (solution.cache_hits, solution.cache_misses) == (0, 0)
+        assert solution.n_resolved == engine.plan.n_shards
 
     def test_membership_guard(self, engine):
         with pytest.raises(ModelError):
@@ -172,21 +160,21 @@ class TestEngineCache:
             n_sessions=3,
             seed=1,
         ).problem()
-        with ShardedEngine(problem) as engine:
-            assert engine.plan.n_shards == 40
-            engine.solve("mla")
-            leaver = engine.plan.shards[17].users[3]
-            engine.leave(leaver)
-            built: list[object] = []
-            original = LoadLedger.__init__
+        engine = ShardedEngine(problem)
+        assert engine.plan.n_shards == 40
+        engine.solve("mla")
+        leaver = engine.plan.shards[17].users[3]
+        engine.leave(leaver)
+        built: list[object] = []
+        original = LoadLedger.__init__
 
-            def counting_init(self, ledger_problem, *args, **kwargs):
-                built.append(ledger_problem)
-                original(self, ledger_problem, *args, **kwargs)
+        def counting_init(self, ledger_problem, *args, **kwargs):
+            built.append(ledger_problem)
+            original(self, ledger_problem, *args, **kwargs)
 
-            monkeypatch.setattr(LoadLedger, "__init__", counting_init)
-            warm = engine.solve("mla")
-            monkeypatch.undo()
+        monkeypatch.setattr(LoadLedger, "__init__", counting_init)
+        warm = engine.solve("mla")
+        monkeypatch.undo()
         assert warm.n_resolved == 1
         assert warm.cache_hits == 39
         assert not [p for p in built if p is engine.problem]
@@ -231,12 +219,12 @@ class TestFingerprintSoundness:
 
     def test_no_op_rebuild_still_hits_the_cache(self):
         problem = block_problem(34, n_blocks=4)
-        with ShardedEngine(problem) as engine:
-            n = engine.plan.n_shards
-            engine.solve("mla")
-            engine.swap_problem(self.rebuilt(problem))
-            again = engine.solve("mla")
-            assert (again.cache_hits, again.cache_misses) == (n, 0)
+        engine = ShardedEngine(problem)
+        n = engine.plan.n_shards
+        engine.solve("mla")
+        engine.swap_problem(self.rebuilt(problem))
+        again = engine.solve("mla")
+        assert (again.cache_hits, again.cache_misses) == (n, 0)
 
     def test_equal_content_in_a_new_array_fingerprints_the_same(self, setup):
         problem, shards = setup
@@ -283,26 +271,26 @@ class TestFingerprintSoundness:
 class TestSwapProblemKeepsThePlan:
     def test_move_rebinds_shards_without_replanning(self):
         problem = block_problem(35, n_blocks=4)
-        with ShardedEngine(problem) as engine:
-            engine.solve("mla")
-            plan = engine.plan
-            user = plan.shards[1].users[0]
-            sessions = list(problem.user_sessions)
-            sessions[user] = (sessions[user] + 1) % problem.n_sessions
-            moved = type(problem)(
-                problem.link_rates, sessions, problem.sessions, problem.budgets
-            )
-            engine.swap_problem(moved)
-            assert engine.plan is plan
-            assert [s.users for s in engine.shards] == [
-                s.users for s in plan.shards
-            ]
-            assert all(s.problem is moved for s in engine.shards)
-            warm = engine.solve("mla")
-            assert warm.n_resolved == 1
-            with ShardedEngine(moved) as cold:
-                assert cold.plan == plan
-                assert (
-                    cold.solve("mla").assignment.ap_of_user
-                    == warm.assignment.ap_of_user
-                )
+        engine = ShardedEngine(problem)
+        engine.solve("mla")
+        plan = engine.plan
+        user = plan.shards[1].users[0]
+        sessions = list(problem.user_sessions)
+        sessions[user] = (sessions[user] + 1) % problem.n_sessions
+        moved = type(problem)(
+            problem.link_rates, sessions, problem.sessions, problem.budgets
+        )
+        engine.swap_problem(moved)
+        assert engine.plan is plan
+        assert [s.users for s in engine.shards] == [
+            s.users for s in plan.shards
+        ]
+        assert all(s.problem is moved for s in engine.shards)
+        warm = engine.solve("mla")
+        assert warm.n_resolved == 1
+        cold = ShardedEngine(moved)
+        assert cold.plan == plan
+        assert (
+            cold.solve("mla").assignment.ap_of_user
+            == warm.assignment.ap_of_user
+        )

@@ -1,7 +1,7 @@
 """RPL008 good fixture: the pool worker is a pure function.
 
-State goes in as the task and comes back as the return value — the
-shape :mod:`repro.obs.remote` uses for its capture seam.
+State goes in as the task and comes back as the return value, so
+nothing the worker does has to reach the parent through shared state.
 """
 
 from concurrent.futures import ProcessPoolExecutor

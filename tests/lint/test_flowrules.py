@@ -96,20 +96,6 @@ def test_rpl007_solver_entry_point_is_a_sink() -> None:
 # -- RPL008 ------------------------------------------------------------------
 
 
-def test_rpl008_instrumented_map_seam() -> None:
-    diags = flow_diags(
-        repro_engine_runner=(
-            "from repro.obs.remote import instrumented_map\n\n"
-            "SEEN = []\n\n\n"
-            "def worker(task):\n    SEEN.append(task)\n    return task\n\n\n"
-            "def run(backend, tasks):\n"
-            "    return instrumented_map(backend, worker, tasks, 'x')\n"
-        )
-    )
-    assert [d.code for d in diags] == ["RPL008"]
-    assert "worker" in diags[0].message
-
-
 def test_rpl008_lambda_worker_unpicklable() -> None:
     source = (
         "from concurrent.futures import ProcessPoolExecutor\n\n\n"

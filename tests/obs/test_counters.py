@@ -102,27 +102,6 @@ class TestThreadSafety:
 
 
 class TestMergeAndExport:
-    def test_merge_adds_counters_and_samples(self):
-        worker = counters.MetricsRegistry()
-        worker.incr("rounds", 3)
-        worker.gauge("load", 0.5)
-        worker.observe("t", 1.0)
-        worker.observe("t", 3.0)
-        parent = counters.install()
-        parent.incr("rounds", 2)
-        parent.observe("t", 2.0)
-        parent.merge(json.loads(json.dumps(worker.export())))
-        assert parent.counter("rounds") == 5
-        assert parent.gauges()["load"] == 0.5
-        summary = parent.histogram("t")
-        assert summary["count"] == 3
-        assert summary["min"] == 1.0 and summary["max"] == 3.0
-
-    def test_merge_rejects_foreign_documents(self):
-        registry = counters.install()
-        with pytest.raises(ValueError):
-            registry.merge({"kind": "repro-trace", "version": 1})
-
     def test_snapshot_is_json_able(self):
         registry = counters.install()
         counters.incr("a")

@@ -181,26 +181,10 @@ class TestJsonRoundTrip:
             "failed",
         ]
 
-    def test_merge_reindexes_past_local_spans(self):
-        worker = trace.TraceCollector()
-        trace._set_active(worker)
-        with trace.span("remote-outer"):
-            with trace.span("remote-inner"):
-                pass
-        trace.uninstall()
-        parent = trace.install()
-        with trace.span("local"):
-            pass
-        merged = parent.merge(worker.export(), extra_attrs={"remote": True})
-        assert merged == 2
-        local = by_name(parent, "local")
-        outer = by_name(parent, "remote-outer")
-        inner = by_name(parent, "remote-inner")
-        assert outer.index != local.index and inner.index != local.index
-        assert inner.parent == outer.index
-        assert outer.attrs["remote"] is True
-
-    def test_merge_rejects_foreign_documents(self):
-        collector = trace.install()
+    def test_from_export_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
-            collector.merge({"kind": "something-else", "version": 1})
+            trace.TraceCollector.from_export(
+                {"kind": "something-else", "version": 1}
+            )
+        with pytest.raises(ValueError):
+            trace.TraceCollector.from_export({"kind": "repro-trace", "version": 2})

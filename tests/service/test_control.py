@@ -27,11 +27,9 @@ def scenario():
 
 @pytest.fixture()
 def control(scenario):
-    service = ControlService(
+    return ControlService(
         scenario.problem(), algorithm="mla", max_shard_users=8
     )
-    yield service
-    service.close()
 
 
 class TestTickSemantics:
@@ -122,7 +120,6 @@ class TestIncrementality:
                 scenario.problem(), algorithm="mla", max_shard_users=8
             )
             service.apply_events([Event("leave", user=2)])
-            service.close()
         counters = session.metrics.counters()
         assert counters["service.ticks"] == 1
         assert counters["service.events_applied"] == 1
@@ -160,7 +157,6 @@ class TestDifferentialOracle:
             lp_bounds=False,
         )
         assert certificate.ok, certificate.violations
-        service.close()
 
     def test_mla_objective_is_bit_identical_after_rollback(
         self, control, monkeypatch
@@ -214,29 +210,29 @@ class TestEngineSwapProblem:
             n_aps=8, n_users=30, n_sessions=3, seed=7,
             area=Area.square(1200), budget=0.9,
         ).problem()
-        with ShardedEngine(problem, max_shard_users=8) as engine:
-            engine.solve("mla")
-            moved_user = 0
-            sessions = list(problem.user_sessions)
-            sessions[moved_user] = (
-                sessions[moved_user] + 1
-            ) % problem.n_sessions
-            swapped = MulticastAssociationProblem(
-                problem.link_rates,
-                sessions,
-                problem.sessions,
-                problem.budgets,
-            )
-            engine.swap_problem(swapped)
-            solution = engine.solve("mla")
-            assert solution.n_resolved == 1
-            # and the swap is exact: a cold engine on the new problem
-            # lands the identical assignment.
-            with ShardedEngine(swapped, max_shard_users=8) as cold:
-                assert (
-                    cold.solve("mla").assignment.ap_of_user
-                    == solution.assignment.ap_of_user
-                )
+        engine = ShardedEngine(problem, max_shard_users=8)
+        engine.solve("mla")
+        moved_user = 0
+        sessions = list(problem.user_sessions)
+        sessions[moved_user] = (
+            sessions[moved_user] + 1
+        ) % problem.n_sessions
+        swapped = MulticastAssociationProblem(
+            problem.link_rates,
+            sessions,
+            problem.sessions,
+            problem.budgets,
+        )
+        engine.swap_problem(swapped)
+        solution = engine.solve("mla")
+        assert solution.n_resolved == 1
+        # and the swap is exact: a cold engine on the new problem
+        # lands the identical assignment.
+        cold = ShardedEngine(swapped, max_shard_users=8)
+        assert (
+            cold.solve("mla").assignment.ap_of_user
+            == solution.assignment.ap_of_user
+        )
 
     def test_swap_rejects_changed_geometry(self):
         problem = MulticastAssociationProblem(
@@ -248,8 +244,8 @@ class TestEngineSwapProblem:
         rates_changed = MulticastAssociationProblem(
             [[3, 5], [4, 5]], [0, 0], [Session(0, 1.0)]
         )
-        with ShardedEngine(problem) as engine:
-            with pytest.raises(ModelError):
-                engine.swap_problem(other)
-            with pytest.raises(ModelError):
-                engine.swap_problem(rates_changed)
+        engine = ShardedEngine(problem)
+        with pytest.raises(ModelError):
+            engine.swap_problem(other)
+        with pytest.raises(ModelError):
+            engine.swap_problem(rates_changed)

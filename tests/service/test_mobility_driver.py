@@ -118,7 +118,6 @@ class TestMobilityDifferentialOracle:
         assert warm is not None
         assert warm.assignment.ap_of_user == cold.assignment.ap_of_user
         assert warm.value() == cold.value()
-        service.close()
 
 
 class TestZeroMotion:
@@ -144,4 +143,3 @@ class TestZeroMotion:
             assert report.n_applied == 0
         # No tick ever advanced: the initial solve was the last solve.
         assert service.tick_index == boot_tick
-        service.close()

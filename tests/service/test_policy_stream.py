@@ -33,11 +33,9 @@ def scenario():
 
 @pytest.fixture()
 def control(scenario):
-    service = ControlService(
+    return ControlService(
         scenario.problem(), algorithm="mla", max_shard_users=8
     )
-    yield service
-    service.close()
 
 
 def _session_absent_somewhere(control) -> int:
@@ -129,4 +127,3 @@ class TestMixedPolicyDifferentialOracle:
         assert warm is not None
         assert warm.assignment.ap_of_user == cold.assignment.ap_of_user
         assert warm.value() == cold.value()
-        service.close()

@@ -61,10 +61,7 @@ def test_sanitize_arms_ledger_checks(sanitized, scenario) -> None:
 def test_tick_checks_counted(sanitized, scenario) -> None:
     registry = obs.install().metrics
     control = ControlService(scenario.problem(), max_shard_users=8)
-    try:
-        control.apply_events([Event("leave", user=2)])
-    finally:
-        control.close()
+    control.apply_events([Event("leave", user=2)])
     counters = registry.snapshot()["counters"]
     assert counters.get("sanitize.tick_checks", 0) >= 1
 
@@ -76,51 +73,45 @@ class _Boom(RuntimeError):
 def test_failed_tick_rolls_back_state(sanitized, scenario) -> None:
     registry = obs.install().metrics
     control = ControlService(scenario.problem(), max_shard_users=8)
-    try:
-        before_active = set(control.active)
-        before_tick = control.tick_index
-        before_assignment = control.assignment.ap_of_user
-        original_solve = control.engine.solve
-        control.engine.solve = lambda *a, **k: (_ for _ in ()).throw(
-            _Boom("solver died mid-tick")
-        )
-        with pytest.raises(_Boom):
-            control.apply_events([Event("leave", user=2)])
-        control.engine.solve = original_solve
+    before_active = set(control.active)
+    before_tick = control.tick_index
+    before_assignment = control.assignment.ap_of_user
+    original_solve = control.engine.solve
+    control.engine.solve = lambda *a, **k: (_ for _ in ()).throw(
+        _Boom("solver died mid-tick")
+    )
+    with pytest.raises(_Boom):
+        control.apply_events([Event("leave", user=2)])
+    control.engine.solve = original_solve
 
-        assert set(control.active) == before_active
-        assert control.tick_index == before_tick
-        assert control.assignment.ap_of_user == before_assignment
-        counters = registry.snapshot()["counters"]
-        assert counters.get("sanitize.tick_rollbacks", 0) == 1
+    assert set(control.active) == before_active
+    assert control.tick_index == before_tick
+    assert control.assignment.ap_of_user == before_assignment
+    counters = registry.snapshot()["counters"]
+    assert counters.get("sanitize.tick_rollbacks", 0) == 1
 
-        # the service keeps working after the rollback, and the oracle
-        # still holds: the incremental state equals a cold batch solve
-        report = control.apply_events([Event("leave", user=2)])
-        assert report.n_leaves == 1
-        assert (
-            control.assignment.ap_of_user
-            == control.batch_solution().assignment.ap_of_user
-        )
-    finally:
-        control.close()
+    # the service keeps working after the rollback, and the oracle
+    # still holds: the incremental state equals a cold batch solve
+    report = control.apply_events([Event("leave", user=2)])
+    assert report.n_leaves == 1
+    assert (
+        control.assignment.ap_of_user
+        == control.batch_solution().assignment.ap_of_user
+    )
 
 
 def test_rollback_without_sanitize_mode(scenario, monkeypatch) -> None:
     """Rollback is always on; sanitize only adds the verification."""
     monkeypatch.delenv(instrument.SANITIZE_ENV, raising=False)
     control = ControlService(scenario.problem(), max_shard_users=8)
-    try:
-        before_tick = control.tick_index
-        control.engine.solve = lambda *a, **k: (_ for _ in ()).throw(
-            _Boom("solver died mid-tick")
-        )
-        with pytest.raises(_Boom):
-            control.apply_events([Event("leave", user=2)])
-        assert control.tick_index == before_tick
-        assert 2 in control.active
-    finally:
-        control.close()
+    before_tick = control.tick_index
+    control.engine.solve = lambda *a, **k: (_ for _ in ()).throw(
+        _Boom("solver died mid-tick")
+    )
+    with pytest.raises(_Boom):
+        control.apply_events([Event("leave", user=2)])
+    assert control.tick_index == before_tick
+    assert 2 in control.active
 
 
 def test_watchdog_sees_a_stalled_loop() -> None:

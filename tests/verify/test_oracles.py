@@ -73,7 +73,6 @@ class TestIncrementalVsCold:
         # proved nothing about the cache
         assert report.stats["mnu_cache_hits"] > 0
         assert report.stats["mla_cache_hits"] > 0
-        assert report.stats["bla_cache_hits"] > 0
 
     def test_explicit_membership_steps(self):
         problem = federation_problem(0)
