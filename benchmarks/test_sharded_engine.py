@@ -68,11 +68,14 @@ def run_engine_comparison():
             # Churn phase: per-event incremental MNU re-solves. The
             # trace starts from an empty system, so track it as such.
             trace = generate_churn_trace(problem, 40)
-            engine.set_active([])
+            active: set[int] = set()
             engine.cache_stats.reset()
             for event in trace:
-                engine.process_event(event)
-                engine.solve("mnu")
+                if event.kind == "join":
+                    active.add(event.user)
+                else:
+                    active.discard(event.user)
+                engine.solve("mnu", active=active)
             row["hit_rate"] = engine.cache_stats.hit_rate()
             rows.append(row)
     return rows

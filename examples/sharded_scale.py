@@ -59,10 +59,13 @@ def main() -> None:
 
     # --- 2. incrementality: churn re-solves only the touched shard
     engine = ShardedEngine(problem)
-    engine.set_active([])  # the trace starts from an empty system
+    active: set[int] = set()  # the trace starts from an empty system
     for event in generate_churn_trace(problem, 60):
-        engine.process_event(event)
-        engine.solve("mnu")
+        if event.kind == "join":
+            active.add(event.user)
+        else:
+            active.discard(event.user)
+        engine.solve("mnu", active=active)
     stats = engine.cache_stats
     print(
         f"after 60 churn events: {stats.hits} shard solves answered "

@@ -253,11 +253,11 @@ class MulticastAssociationProblem:
 
     def aps_of_user(self, user: int) -> list[int]:
         """APs whose range covers ``user`` — its *neighboring APs*."""
-        return [a for a in range(self.n_aps) if self._rates[a, user] > 0]
+        return np.flatnonzero(self._rates[:, user] > 0).tolist()
 
     def users_of_ap(self, ap: int) -> list[int]:
         """Users within range of ``ap``."""
-        return [u for u in range(self.n_users) if self._rates[ap, u] > 0]
+        return np.flatnonzero(self._rates[ap] > 0).tolist()
 
     def isolated_users(self) -> list[int]:
         """Users out of range of every AP — never servable."""

@@ -13,11 +13,7 @@ Entry point: :class:`repro.engine.ShardedEngine`.
 """
 
 from repro.engine.engine import OBJECTIVES, EngineSolution, ShardedEngine
-from repro.engine.executor import (
-    stitch_mla,
-    stitch_mnu,
-    to_global_picks,
-)
+from repro.engine.executor import stitch_mla, stitch_mnu
 from repro.engine.incremental import CacheStats, ShardCache, shard_fingerprint
 from repro.engine.partition import (
     Component,
@@ -51,5 +47,4 @@ __all__ = [
     "stitch_assignment",
     "stitch_mla",
     "stitch_mnu",
-    "to_global_picks",
 ]

@@ -23,12 +23,11 @@ Exactness contract:
   compares global quantities at every step, so it runs once per solve
   and does not use the per-shard cache.
 
-Active-user tracking: the engine maintains the set of multicast members
-(:meth:`join` / :meth:`leave` / :meth:`process_event` /
-:meth:`set_active`) and solves for exactly that subset, matching the
-monolithic solvers on ``problem.restricted_to_users(active)``. Membership
-changes need no explicit invalidation — the touched shard's fingerprint
-changes, so its cache entry simply misses.
+Membership: the engine keeps none. :meth:`ShardedEngine.solve` serves
+exactly the ``active`` users it is handed (every user by default),
+matching the monolithic solvers on ``problem.restricted_to_users(active)``.
+Membership changes need no explicit invalidation — the touched shard's
+fingerprint changes, so its cache entry simply misses.
 """
 
 from __future__ import annotations
@@ -40,18 +39,21 @@ from typing import Any, Callable, Iterable
 from repro.core.assignment import Assignment
 from repro.core.bla import solve_bla
 from repro.core.errors import CoverageError, ModelError
-from repro.core.online import ChurnEvent
 from repro.core.problem import MulticastAssociationProblem
 from repro.engine.executor import (
     mla_shard_raw,
     mnu_shard_raw,
     stitch_mla,
     stitch_mnu,
-    to_global_picks,
 )
 from repro.engine.incremental import CacheStats, ShardCache, shard_fingerprint
 from repro.engine.partition import ShardPlan, plan_shards
-from repro.engine.shard import Shard, build_shards, stitch_assignment
+from repro.engine.shard import (
+    Shard,
+    ShardProblem,
+    build_shards,
+    stitch_assignment,
+)
 from repro.obs import counters as metrics
 from repro.obs import trace as tracing
 
@@ -92,11 +94,10 @@ class ShardedEngine:
         self.plan: ShardPlan = plan_shards(
             problem, max_shard_users=max_shard_users
         )
-        self.shards: list[Shard] = build_shards(problem, self.plan)
+        self.shards: list[Shard] = build_shards(self.plan)
         self._shard_of_user = self.plan.shard_of_user()
         self._use_cache = cache
         self._cache = ShardCache()
-        self._active: set[int] = set(range(problem.n_users))
 
     # -- lifecycle -------------------------------------------------------
 
@@ -112,9 +113,8 @@ class ShardedEngine:
         deployment — users switching sessions, sessions changing rate —
         while the radio geometry (AP/user counts, link rates) stays
         put. The partition plan depends only on the link rates and the
-        shard cap, so it is kept and the shards are rebound to the new
-        problem; the fingerprint cache and the tracked membership are
-        kept too: entries are content-addressed
+        shard cap, so it and the shards are kept; so is the fingerprint
+        cache: entries are content-addressed
         (:func:`shard_fingerprint` hashes the rates, budgets, user
         sessions and the session catalog), so shards the change did not
         touch keep hitting while stale entries miss and are evicted on
@@ -137,8 +137,6 @@ class ShardedEngine:
                 "partition depends on them); build a new engine instead"
             )
         self.problem = problem
-        for shard in self.shards:
-            shard.rebind(problem)
         metrics.incr("engine.problem_swaps")
 
     def shard_of_user(self, user: int) -> int | None:
@@ -146,41 +144,7 @@ class ShardedEngine:
         self._check_user(user)
         return self._shard_of_user.get(user)
 
-    # -- membership ------------------------------------------------------
-
-    @property
-    def active_users(self) -> frozenset[int]:
-        """The tracked multicast membership the engine solves for."""
-        return frozenset(self._active)
-
-    def set_active(self, users: Iterable[int]) -> None:
-        """Replace the tracked membership wholesale."""
-        users = set(users)
-        self._check_users(users)
-        self._active = users
-
-    def join(self, user: int) -> None:
-        """A user joins its multicast session."""
-        self._check_user(user)
-        if user in self._active:
-            raise ModelError(f"user {user} is already active")
-        self._active.add(user)
-        metrics.incr("engine.join_messages")
-
-    def leave(self, user: int) -> None:
-        """A user leaves its multicast session."""
-        self._check_user(user)
-        if user not in self._active:
-            raise ModelError(f"user {user} is not active")
-        self._active.discard(user)
-        metrics.incr("engine.leave_messages")
-
-    def process_event(self, event: ChurnEvent) -> None:
-        """Apply one :class:`~repro.core.online.ChurnEvent` to membership."""
-        if event.kind == "join":
-            self.join(event.user)
-        else:
-            self.leave(event.user)
+    # -- validation ------------------------------------------------------
 
     def _check_user(self, user: int) -> None:
         if not 0 <= user < self.problem.n_users:
@@ -220,14 +184,15 @@ class ShardedEngine:
     ) -> EngineSolution:
         """Solve one objective for the active users; stitched + validated.
 
-        ``active`` overrides the tracked membership for this call only.
-        ``augment`` (MNU only) greedily serves leftover users after the
-        approximation, exactly like ``solve_mnu(..., augment=True)``.
+        ``active`` is the multicast membership to serve (every user when
+        ``None``). ``augment`` (MNU only) greedily serves leftover users
+        after the approximation, exactly like
+        ``solve_mnu(..., augment=True)``.
         """
         if objective not in OBJECTIVES:
             raise ModelError(f"unknown objective {objective!r}")
         active_set = (
-            set(self._active) if active is None else set(active)
+            set(range(self.problem.n_users)) if active is None else set(active)
         )
         self._check_users(active_set)
         hits0 = self._cache.stats.hits
@@ -298,19 +263,19 @@ class ShardedEngine:
         self,
         objective: str,
         active_set: set[int],
-        worker: Callable[[MulticastAssociationProblem], Any],
+        worker: Callable[[ShardProblem], Any],
         stitch: Callable[..., tuple[Assignment, float]],
     ) -> tuple[Assignment, float, int, dict[str, object]]:
         """The shared MNU/MLA path: per-shard cache → worker → stitch.
 
-        Cache entries hold the shard's result *already remapped to global
-        indices* — MNU's raw split halves, MLA's materialized fragment —
+        Cache entries hold the worker's result as is — global ``(user,
+        AP)`` pairs (MNU's two halves, MLA's fragment with its AP loads) —
         so stitching treats hits and misses uniformly. The global map is
         rebuilt from the entries on every solve; the engine keeps no
         mutable stitched state a rolled-back tick would have to undo.
         """
         live = self._live_shards(active_set)
-        raws: list[object | None] = [None] * len(live)
+        entries: list[Any] = [None] * len(live)
         pending: list[int] = []
         prints: list[str] = []
         for i, (shard, users) in enumerate(live):
@@ -324,30 +289,17 @@ class ShardedEngine:
             if entry is None:
                 pending.append(i)
             else:
-                raws[i] = entry
+                entries[i] = entry
         for task, i in enumerate(pending):
-            shard_problem = live[i][0].slice(active_set)
+            shard, users = live[i]
+            shard_problem = shard.slice(self.problem, users)
             with tracing.span(
                 "engine.shard-solve", objective=objective, task=task
             ):
-                raw = worker(shard_problem.problem)
-            if objective == "mnu":
-                entry = (
-                    to_global_picks(shard_problem, raw[0]),
-                    to_global_picks(shard_problem, raw[1]),
-                )
-            else:
-                local_map, loads = raw
-                entry = (
-                    tuple(shard_problem.map_assignment(local_map)),
-                    tuple(loads),
-                )
-            raws[i] = entry
+                entries[i] = worker(shard_problem)
             if self._use_cache:
-                self._cache.put(
-                    objective, live[i][0].index, prints[i], entry
-                )
-        assignment, value = stitch(self.problem, raws)
+                self._cache.put(objective, shard.index, prints[i], entries[i])
+        assignment, value = stitch(self.problem, entries)
         return assignment, value, len(pending), {}
 
     def _solve_bla_exact(

@@ -13,7 +13,7 @@ the paper's algorithms are genuinely global:
 
 * **MNU** — the H1/H2 split of Theorem 2 compares the *total* coverage of
   the within-budget and overshooting selections. Each shard therefore
-  reports both halves raw, and :func:`stitch_mnu` picks one side globally.
+  reports both halves, and :func:`stitch_mnu` picks one side globally.
 * **BLA** — the B* guess grid, the per-iteration H1/H2 choice inside the
   iterated-MNU loop, the feasibility verdict, the incumbent update and the
   final rebalance guard all compare global quantities. BLA therefore does
@@ -29,14 +29,18 @@ nothing outside the AP's shard, every AP lies in at most one shard, and
 loads is bit-identical to :meth:`~repro.core.assignment.Assignment.
 total_load` of the stitched assignment, without building its ledger.
 
-Shard results are plain tuples, so the engine's cache can hold them
-without keeping any solver state alive.
+Both workers speak one format: global ``(user, AP)`` pairs, materialized
+per shard with :func:`~repro.core.assignment.from_selected_sets`. That is
+exact for MNU's halves too: a user's AP depends only on the selected sets
+that contain it, which all lie in the user's shard, in the same order as
+in the monolithic selection. Shard results are plain tuples, so the
+engine's cache can hold them without keeping any solver state alive.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from repro.core.assignment import Assignment, from_selected_sets
 from repro.core.candidates import CandidateSet
@@ -45,92 +49,55 @@ from repro.core.mnu import augment_assignment, solve_mnu
 from repro.core.problem import MulticastAssociationProblem
 from repro.engine.shard import ShardProblem, stitch_assignment
 
-#: One selected candidate set, flattened for caching:
-#: ``(ap, session, tx_rate, cost, users)``.
-SetPick = tuple[int, int, float, float, tuple[int, ...]]
+#: One shard's assignment in global indices: its ``(user, AP)`` pairs.
+Pairs = tuple[tuple[int, int], ...]
 
-#: One shard's materialized MLA result in global indices: its
-#: ``(user, AP)`` pairs and the loads of its APs.
-MlaFragment = tuple[tuple[tuple[int, int], ...], tuple[float, ...]]
+#: One shard's materialized MLA result: its pairs and the loads of its APs.
+MlaFragment = tuple[Pairs, tuple[float, ...]]
 
 
-# -- result helpers ----------------------------------------------------------
-
-
-def _pick(candidate: CandidateSet) -> SetPick:
-    return (
-        candidate.ap,
-        candidate.session,
-        candidate.tx_rate,
-        candidate.cost,
-        tuple(sorted(candidate.users)),
+def _materialize(
+    shard_problem: ShardProblem, selected: Iterable[CandidateSet]
+) -> Assignment:
+    return from_selected_sets(
+        shard_problem.problem,
+        ((c.ap, c.session, c.tx_rate, c.users) for c in selected),
     )
 
 
-def to_global_picks(
-    shard_problem: ShardProblem, picks: Iterable[SetPick]
-) -> tuple[SetPick, ...]:
-    """Remap local-index set picks onto the parent problem's indices."""
-    return tuple(
-        (
-            shard_problem.global_ap(ap),
-            session,
-            tx_rate,
-            cost,
-            tuple(shard_problem.global_user(u) for u in users),
-        )
-        for ap, session, tx_rate, cost, users in picks
-    )
-
-
-def _covered(picks: Iterable[SetPick]) -> set[int]:
-    covered: set[int] = set()
-    for _, _, _, _, users in picks:
-        covered.update(users)
-    return covered
-
-
-def _selections(
-    picks: Iterable[SetPick],
-) -> Iterator[tuple[int, int, float, tuple[int, ...]]]:
-    return ((ap, session, tx_rate, users) for ap, session, tx_rate, _, users in picks)
+def _global_pairs(shard_problem: ShardProblem, assignment: Assignment) -> Pairs:
+    return tuple(shard_problem.map_assignment(assignment.ap_of_user))
 
 
 # -- shard workers -----------------------------------------------------------
 
 
-def mnu_shard_raw(
-    sub: MulticastAssociationProblem,
-) -> tuple[tuple[SetPick, ...], tuple[SetPick, ...]]:
-    """Centralized MNU on one shard, returning both split halves raw.
+def mnu_shard_raw(shard_problem: ShardProblem) -> tuple[Pairs, Pairs]:
+    """Centralized MNU on one shard: the pairs of both split halves.
 
     The H1/H2 choice is deferred to the engine, which makes it globally —
     exactly as the monolithic greedy would.
     """
-    solution = solve_mnu(sub, split=True, augment=False)
+    mcg = solve_mnu(shard_problem.problem, split=True, augment=False).mcg
+    within = _materialize(shard_problem, mcg.within_budget)
+    overshooting = _materialize(shard_problem, mcg.overshooting)
     return (
-        tuple(_pick(c) for c in solution.mcg.within_budget),
-        tuple(_pick(c) for c in solution.mcg.overshooting),
+        _global_pairs(shard_problem, within),
+        _global_pairs(shard_problem, overshooting),
     )
 
 
-def mla_shard_raw(
-    sub: MulticastAssociationProblem,
-) -> tuple[tuple[int | None, ...], list[float]]:
+def mla_shard_raw(shard_problem: ShardProblem) -> MlaFragment:
     """Centralized MLA (``CostSC``) on one shard, materialized.
 
-    Returns the shard's local ``ap_of_user`` and per-AP loads. Like
+    Returns the shard's pairs and per-AP loads. Like
     :func:`~repro.core.mla.solve_mla` minus its ``mla.*`` gauges: the
     engine publishes one stitched objective, not per-shard ones.
     """
-    assignment = from_selected_sets(
-        sub,
-        (
-            (c.ap, c.session, c.tx_rate, c.users)
-            for c in mla_cover(sub).selected
-        ),
+    assignment = _materialize(
+        shard_problem, mla_cover(shard_problem.problem).selected
     ).validate(check_budgets=False)
-    return assignment.ap_of_user, assignment.loads()
+    return _global_pairs(shard_problem, assignment), tuple(assignment.loads())
 
 
 # -- stitching ---------------------------------------------------------------
@@ -138,29 +105,26 @@ def mla_shard_raw(
 
 def stitch_mnu(
     problem: MulticastAssociationProblem,
-    shard_raws: Sequence[tuple[tuple[SetPick, ...], tuple[SetPick, ...]]],
+    shard_halves: Sequence[tuple[Pairs, Pairs]],
     *,
     augment: bool = False,
     eligible: Iterable[int] | None = None,
 ) -> Assignment:
-    """Global H1/H2 choice over per-shard raw MNU selections.
+    """Global H1/H2 choice over per-shard MNU halves.
 
-    ``shard_raws`` carry global indices. Theorem 2's split is applied to
-    the concatenation: whichever of H1 (within budget) and H2 (overshoot)
-    covers more users *in total* wins — the same comparison, on the same
-    sets, as the monolithic ``greedy_mcg(split=True)``.
+    Theorem 2's split is applied to the concatenation: whichever of H1
+    (within budget) and H2 (overshoot) covers more users *in total* wins
+    — the same comparison, on the same sets, as the monolithic
+    ``greedy_mcg(split=True)``, since a half's pairs are exactly the
+    users its selected sets cover.
     """
-    within: list[SetPick] = []
-    overshooting: list[SetPick] = []
-    for shard_within, shard_over in shard_raws:
+    within: list[tuple[int, int]] = []
+    overshooting: list[tuple[int, int]] = []
+    for shard_within, shard_over in shard_halves:
         within.extend(shard_within)
         overshooting.extend(shard_over)
-    chosen = (
-        within
-        if len(_covered(within)) >= len(_covered(overshooting))
-        else overshooting
-    )
-    assignment = from_selected_sets(problem, _selections(chosen))
+    chosen = within if len(within) >= len(overshooting) else overshooting
+    assignment = stitch_assignment(problem, chosen)
     if augment:
         assignment = augment_assignment(assignment, eligible=eligible)
     return assignment.validate(check_budgets=True)

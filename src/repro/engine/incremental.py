@@ -5,8 +5,8 @@ from scratch wastes the decomposition the engine worked for. This module
 makes re-solves proportional to the *blast radius* of a change:
 
 * :func:`shard_fingerprint` hashes everything a shard's sub-problem depends
-  on — its AP set, its active users, the rates (as the once-per-rate-matrix
-  digest of the shard's whole block), the budgets, the users' sessions and
+  on — its AP set, its active users, the rates (as the cached digest of
+  the shard's whole block), the budgets, the users' sessions and
   the session catalog. Content addressing is the only invalidation:
   any membership or parameter change lands a different fingerprint, and
   the stale entry misses and is evicted on lookup.
@@ -16,10 +16,11 @@ makes re-solves proportional to the *blast radius* of a change:
   acceptance tests — can assert that an event re-solved only the shards it
   touched.
 
-Cache entries are whatever the engine chose to store — raw H1/H2 set picks
-for MNU, materialized fragments for MLA, per-shard assignments for
-federated BLA. The cache never interprets them; it only guarantees they
-were produced from a sub-problem identical to the current one.
+Cache entries are the per-shard workers' results, in one format: global
+``(user, AP)`` pairs — both H1/H2 halves for MNU, and for MLA the
+materialized fragment plus its AP loads. The cache never interprets them;
+it only guarantees they were produced from a sub-problem identical to the
+current one.
 """
 
 from __future__ import annotations
@@ -46,10 +47,11 @@ def shard_fingerprint(
     Two equal fingerprints guarantee byte-identical sub-problems, hence —
     the solvers being deterministic — identical per-shard solutions. The
     rates enter as the digest of the shard's *full* ``aps × users`` block
-    (:meth:`~repro.engine.shard.Shard.block_digest`, hashed once per rate
-    matrix) next to the active-user list; that pins the active sub-matrix
-    because the active users must be a subset of the shard's users, and
-    anything else raises :class:`~repro.core.errors.ModelError`.
+    (:meth:`~repro.engine.shard.Shard.block_digest`, cached for the last
+    rate matrix hashed) next to the active-user list; that pins the
+    active sub-matrix because the active users must be a subset of the
+    shard's users, and anything else raises
+    :class:`~repro.core.errors.ModelError`.
     """
     users = list(active_users)
     if not shard.user_set.issuperset(users):

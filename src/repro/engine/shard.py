@@ -1,7 +1,7 @@
 """Shard slicing — per-shard sub-problems with stable index remapping.
 
 A :class:`Shard` freezes one entry of a :class:`~repro.engine.partition.
-ShardPlan` and can slice the parent problem into a self-contained
+ShardPlan` and can slice a parent problem into a self-contained
 :class:`~repro.core.problem.MulticastAssociationProblem` over the shard's
 APs and (a subset of) its users. Index maps run both ways:
 
@@ -59,23 +59,22 @@ class ShardProblem:
 
 
 class Shard:
-    """One shard of the partition, bound to its parent problem."""
+    """One shard of the partition: its APs and users, no problem bound.
 
-    def __init__(
-        self,
-        index: int,
-        problem: MulticastAssociationProblem,
-        component: Component,
-    ) -> None:
+    The engine owns the one current problem and hands it to
+    :meth:`slice` and :meth:`block_digest` on every call.
+    """
+
+    def __init__(self, index: int, component: Component) -> None:
         self.index = index
-        self.problem = problem
         self.aps = component.aps
         self.users = component.users
         self.user_set = frozenset(component.users)
         self.ap_set = frozenset(component.aps)
         self._ap_local = {ap: j for j, ap in enumerate(component.aps)}
         self._user_local = {u: i for i, u in enumerate(component.users)}
-        self._block_digest: bytes | None = None
+        self._digest_rates: np.ndarray | None = None
+        self._block_digest = b""
 
     @property
     def n_users(self) -> int:
@@ -91,30 +90,18 @@ class Shard:
     def local_ap(self, global_ap: int) -> int:
         return self._ap_local[global_ap]
 
-    def rebind(self, problem: MulticastAssociationProblem) -> None:
-        """Bind this shard to ``problem``, whose link rates must be equal.
-
-        The index maps stay; so does the cached :meth:`block_digest` when
-        ``problem`` shares the bound rate matrix (the same array object).
-        """
-        if problem.link_rates is not self.problem.link_rates:
-            self._block_digest = None
-        self.problem = problem
-
     def block_digest(self, problem: MulticastAssociationProblem) -> bytes:
         """SHA-256 of ``problem``'s link rates over this shard's full
         ``aps × users`` block.
 
-        Hashed once for the rate matrix the shard is bound to and cached;
-        a problem carrying any other ``link_rates`` array is hashed
-        afresh, never answered from the cache.
+        The digest of the last rate-matrix object hashed is cached: a
+        problem carrying that same array is answered from the cache, any
+        other ``link_rates`` array is hashed afresh.
         """
-        if problem.link_rates is not self.problem.link_rates:
-            return _hash_block(problem.link_rates, self.aps, self.users)
-        if self._block_digest is None:
-            self._block_digest = _hash_block(
-                self.problem.link_rates, self.aps, self.users
-            )
+        rates = problem.link_rates
+        if rates is not self._digest_rates:
+            self._block_digest = _hash_block(rates, self.aps, self.users)
+            self._digest_rates = rates
         return self._block_digest
 
     def active_users(self, active: Iterable[int] | None) -> tuple[int, ...]:
@@ -123,21 +110,26 @@ class Shard:
             return self.users
         return tuple(sorted(self.user_set.intersection(active)))
 
-    def slice(self, active: Iterable[int] | None = None) -> ShardProblem:
-        """The sub-problem over this shard's APs and active users.
+    def slice(
+        self,
+        problem: MulticastAssociationProblem,
+        active: Iterable[int] | None = None,
+    ) -> ShardProblem:
+        """The sub-problem of ``problem`` over this shard's APs and
+        active users.
 
         Keeps every session (ids stay stable), slices the rate matrix with
         sorted index vectors (orders stay stable), and carries the per-AP
         budgets and per-session transmission policies over verbatim.
         """
         users = self.active_users(active)
-        rates = self.problem.link_rates[np.ix_(self.aps, users)]
+        rates = problem.link_rates[np.ix_(self.aps, users)]
         sub = MulticastAssociationProblem(
             rates,
-            [self.problem.session_of(u) for u in users],
-            self.problem.sessions,
-            self.problem.budgets[list(self.aps)],
-            self.problem.session_policies,
+            [problem.session_of(u) for u in users],
+            problem.sessions,
+            problem.budgets[list(self.aps)],
+            problem.session_policies,
         )
         return ShardProblem(problem=sub, users=users, aps=self.aps)
 
@@ -153,13 +145,10 @@ def _hash_block(
     return sha256(rates[np.ix_(aps, users)].tobytes()).digest()
 
 
-def build_shards(
-    problem: MulticastAssociationProblem, plan: ShardPlan
-) -> list[Shard]:
-    """Materialize every shard of ``plan`` against ``problem``."""
+def build_shards(plan: ShardPlan) -> list[Shard]:
+    """Materialize every shard of ``plan``."""
     return [
-        Shard(index, problem, component)
-        for index, component in enumerate(plan.shards)
+        Shard(index, component) for index, component in enumerate(plan.shards)
     ]
 
 

@@ -44,7 +44,7 @@ from repro.core.distributed import Policy, run_distributed
 from repro.core.mla import solve_mla
 from repro.core.problem import MulticastAssociationProblem
 from repro.net.handoff import HandoffCostModel, account_handovers
-from repro.scenarios.generator import SMALL_AREA, Scenario, generate
+from repro.scenarios.generator import SMALL_AREA, generate
 from repro.scenarios.motion import Handover, make_motion_model
 
 #: Speeds (m/s) the default ladder sweeps: pedestrian, campus shuttle,

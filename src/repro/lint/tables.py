@@ -182,12 +182,9 @@ STATE_MUTATORS: frozenset[str] = frozenset(
         "join",
         "leave",
         "move",
-        "set_active",
         "swap_problem",
-        "process_event",
         "apply_events",
         "apply_plan",
-        "_mutate_problem",
     }
 )
 

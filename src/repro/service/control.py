@@ -1,10 +1,12 @@
 """The synchronous association-control core the asyncio loop drives.
 
-:class:`ControlService` owns the mutable deployment state of one
-long-running controller — multicast membership, each user's session,
-each session's rate — and keeps a published association for it by
-driving *incremental* re-solves through a
-:class:`~repro.engine.ShardedEngine`:
+:class:`ControlService` owns the deployment state of one long-running
+controller, each fact once — the multicast membership (one set, updated
+in place) and the current immutable problem, which carries each user's
+session and each session's rate and policy — and keeps a published
+association for it by driving *incremental* re-solves through a
+:class:`~repro.engine.ShardedEngine`, which is handed the membership on
+every solve:
 
 * join/leave only flip membership; the touched shard's fingerprint
   changes, every other shard keeps hitting the engine cache, so the
@@ -30,7 +32,7 @@ wrapper (:mod:`repro.service.loop`) stays a thin scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Literal, Mapping, Sequence
 
 from repro.core import instrument
 from repro.core.assignment import Assignment
@@ -87,20 +89,6 @@ class TickReport:
         }
 
 
-@dataclass(frozen=True)
-class _Snapshot:
-    """Pre-tick copy of the mutable control state, for rollback."""
-
-    user_sessions: list[int]
-    session_rates: list[float]
-    session_policies: list[str]
-    active: set[int]
-    problem: MulticastAssociationProblem
-    solution: EngineSolution | None
-    tick_index: int
-    last_solve_s: float
-
-
 class ControlService:
     """Mutable deployment state plus incremental re-solves, one tick at
     a time."""
@@ -111,8 +99,6 @@ class ControlService:
         *,
         algorithm: str = "mla",
         max_shard_users: int | None = None,
-        initial_active: Iterable[int] | None = None,
-        solve_on_init: bool = True,
         parallel: Literal[False] = False,
     ) -> None:
         """``parallel`` exists only because ``perfbench/churn.py`` still
@@ -123,26 +109,11 @@ class ControlService:
         if algorithm not in OBJECTIVES:
             raise ModelError(f"unknown algorithm {algorithm!r}")
         self.algorithm = algorithm
-        self._base = problem
-        self._user_sessions: list[int] = list(problem.user_sessions)
-        self._session_rates: list[float] = [
-            s.rate_mbps for s in problem.sessions
-        ]
-        self._session_names: list[str] = [s.name for s in problem.sessions]
-        self._session_policies: list[str] = list(problem.session_policies)
         self.problem = problem
         self.engine = ShardedEngine(problem, max_shard_users=max_shard_users)
-        self._active: set[int] = (
-            set(range(problem.n_users))
-            if initial_active is None
-            else set(initial_active)
-        )
-        self.engine.set_active(self._active)
+        self._active: set[int] = set(range(problem.n_users))
         self.tick_index = 0
-        self.solution: EngineSolution | None = None
-        self._last_solve_s = 0.0
-        if solve_on_init:
-            self._resolve()
+        self.solution, _ = self._solve(problem)
 
     # -- state accessors -------------------------------------------------
 
@@ -153,9 +124,7 @@ class ControlService:
 
     @property
     def assignment(self) -> Assignment:
-        """The published association (empty before the first solve)."""
-        if self.solution is None:
-            return Assignment.empty(self.problem)
+        """The published association."""
         return self.solution.assignment
 
     def current_problem(self) -> MulticastAssociationProblem:
@@ -176,8 +145,7 @@ class ControlService:
         cold = ShardedEngine(
             self.problem, max_shard_users=self.engine.max_shard_users
         )
-        cold.set_active(self._active)
-        return cold.solve(self.algorithm)
+        return cold.solve(self.algorithm, active=self._active)
 
     # -- tick application ------------------------------------------------
 
@@ -194,23 +162,28 @@ class ControlService:
     def apply_plan(self, plan: TickPlan) -> TickReport:
         """Apply one coalesced :class:`TickPlan` and re-solve if needed.
 
-        The tick is all-or-nothing: the mutable state is snapshotted
-        first and restored (with the engine re-synced) if the apply or
-        the re-solve raises. Under ``REPRO_SANITIZE=1`` a post-apply
-        check additionally verifies every diffed event landed.
+        The tick is all-or-nothing: the next problem is built aside,
+        membership is updated in place, and ``problem``, ``solution`` and
+        ``tick_index`` are published only once the re-solve returns. If
+        anything raises, the membership edits are undone and the engine
+        is swapped back to the pre-tick problem. Under
+        ``REPRO_SANITIZE=1`` a post-apply check additionally verifies
+        every diffed event landed.
         """
+        problem = self.problem
         rate_changes = {
             s: r
             for s, r in plan.rates.items()
-            if r != self._session_rates[s]
+            # An unchanged rate is a no-op by contract: exact equality.
+            if r != problem.session_rate(s)  # replint: ignore[RPL004]
         }
         policy_changes = {
             s: p
             for s, p in plan.policies.items()
-            if p != self._session_policies[s]
+            if p != problem.policy_of(s)
         }
         moves = {
-            u: s for u, s in plan.moves.items() if s != self._user_sessions[u]
+            u: s for u, s in plan.moves.items() if s != problem.session_of(u)
         }
         joins = sorted(
             u
@@ -240,38 +213,59 @@ class ControlService:
         # sits in every fingerprint via the session catalog.
         if policy_changes:
             for user in self._active:
-                if self._user_sessions[user] in policy_changes:
+                if problem.session_of(user) in policy_changes:
                     shard = self.engine.shard_of_user(user)
                     if shard is not None:
                         dirty.add(shard)
         if rate_changes:
             dirty = set(range(self.engine.plan.n_shards))
 
-        snapshot = self._take_snapshot()
-        changed = n_applied > 0 or self.solution is None
+        changed = n_applied > 0
+        solution, solve_s = self.solution, 0.0
+        n_active_before = len(self._active)
         try:
-            if rate_changes or moves or policy_changes:
-                self._mutate_problem(rate_changes, moves, policy_changes)
-            for user in joins:
-                self._active.add(user)
-                self.engine.join(user)
-            for user in leaves:
-                self._active.discard(user)
-                self.engine.leave(user)
+            next_problem = (
+                self._next_problem(rate_changes, moves, policy_changes)
+                if rate_changes or moves or policy_changes
+                else problem
+            )
+            self._active.update(joins)
+            self._active.difference_update(leaves)
+            if next_problem is not problem:
+                self.engine.swap_problem(next_problem)
+                if metrics.enabled():
+                    metrics.incr("service.problem_rebuilds")
+                    metrics.incr("service.moves", len(moves))
+                    metrics.incr("service.rate_changes", len(rate_changes))
             if changed:
-                self.tick_index += 1
-                self._resolve()
+                solution, solve_s = self._solve(next_problem)
         except BaseException:
             # The tick is atomic: a failed apply/re-solve must not leave
-            # half-mutated membership or a stale published association.
-            self._restore_snapshot(snapshot)
+            # half-applied membership or an engine on an unpublished
+            # problem.
+            self._active.difference_update(joins)
+            self._active.update(leaves)
+            if self.engine.problem is not problem:
+                self.engine.swap_problem(problem)
+            metrics.incr("service.tick_rollbacks")
+            if instrument.sanitize_enabled():
+                metrics.incr("sanitize.tick_rollbacks")
+                sanitize.check(
+                    self.engine.problem is problem
+                    and len(self._active) == n_active_before
+                    and self._active.isdisjoint(joins)
+                    and self._active.issuperset(leaves),
+                    "tick rollback failed to restore the pre-tick state",
+                )
             raise
+        self.problem = next_problem
+        if changed:
+            self.tick_index += 1
+            self.solution = solution
         if instrument.sanitize_enabled():
             self._sanitize_verify_applied(
                 rate_changes, policy_changes, moves, joins, leaves
             )
-        solution = self.solution
-        assert solution is not None
         report = TickReport(
             tick=self.tick_index,
             n_events=plan.n_events,
@@ -286,7 +280,7 @@ class ControlService:
             resolved_shards=solution.n_resolved if changed else 0,
             cache_hits=solution.cache_hits if changed else 0,
             cache_misses=solution.cache_misses if changed else 0,
-            solve_wall_s=self._last_solve_s if changed else 0.0,
+            solve_wall_s=solve_s,
             objective_value=solution.value(),
             n_active=len(self._active),
         )
@@ -303,48 +297,6 @@ class ControlService:
 
     # -- internals -------------------------------------------------------
 
-    def _take_snapshot(self) -> _Snapshot:
-        """Copy the mutable state a failed tick must restore."""
-        return _Snapshot(
-            user_sessions=list(self._user_sessions),
-            session_rates=list(self._session_rates),
-            session_policies=list(self._session_policies),
-            active=set(self._active),
-            problem=self.problem,
-            solution=self.solution,
-            tick_index=self.tick_index,
-            last_solve_s=self._last_solve_s,
-        )
-
-    def _restore_snapshot(self, snapshot: _Snapshot) -> None:
-        """Roll the control state back to a pre-tick snapshot.
-
-        The engine is re-pointed at the snapshot problem and membership
-        (its content-addressed cache makes the re-sync cheap).
-        """
-        self._user_sessions = list(snapshot.user_sessions)
-        self._session_rates = list(snapshot.session_rates)
-        self._session_policies = list(snapshot.session_policies)
-        self._active = set(snapshot.active)
-        if self.problem is not snapshot.problem:
-            self.problem = snapshot.problem
-            self.engine.swap_problem(snapshot.problem)
-        self.engine.set_active(self._active)
-        self.solution = snapshot.solution
-        self.tick_index = snapshot.tick_index
-        self._last_solve_s = snapshot.last_solve_s
-        metrics.incr("service.tick_rollbacks")
-        if instrument.sanitize_enabled():
-            metrics.incr("sanitize.tick_rollbacks")
-            sanitize.check(
-                self._user_sessions == snapshot.user_sessions
-                and self._session_rates == snapshot.session_rates
-                and self._session_policies == snapshot.session_policies
-                and self._active == snapshot.active
-                and self.tick_index == snapshot.tick_index,
-                "tick rollback failed to restore the pre-tick state",
-            )
-
     def _sanitize_verify_applied(
         self,
         rate_changes: Mapping[int, float],
@@ -359,18 +311,19 @@ class ControlService:
         tick = self.tick_index
         for session, rate in rate_changes.items():
             sanitize.check(
-                self._session_rates[session] == rate,
+                # The published rate is the event's value, bit for bit.
+                self.problem.session_rate(session) == rate,  # replint: ignore[RPL004]
                 f"tick {tick}: rate change for session {session} not applied",
             )
         for session, policy in policy_changes.items():
             sanitize.check(
-                self._session_policies[session] == policy,
+                self.problem.policy_of(session) == policy,
                 f"tick {tick}: policy change for session {session}"
                 " not applied",
             )
         for user, session in moves.items():
             sanitize.check(
-                self._user_sessions[user] == session,
+                self.problem.session_of(user) == session,
                 f"tick {tick}: move of user {user} not applied",
             )
         for user in joins:
@@ -383,67 +336,65 @@ class ControlService:
                 user not in self._active,
                 f"tick {tick}: leave of user {user} not applied",
             )
-        sanitize.check(
-            self.solution is not None,
-            f"tick {tick}: no published solution after apply",
-        )
 
-    def _resolve(self) -> None:
-        """One engine solve of the current state; publishes the result."""
+    def _solve(
+        self, problem: MulticastAssociationProblem
+    ) -> tuple[EngineSolution, float]:
+        """One engine solve of ``problem`` for the current membership:
+        the solution and its wall time. Publishes nothing."""
         if not self._active:
             # An empty system has an empty association; the engine's
             # solvers are not exercised on zero live shards.
-            self.solution = EngineSolution(
+            empty = EngineSolution(
                 objective=self.algorithm,
-                assignment=Assignment.empty(self.problem),
+                assignment=Assignment.empty(problem),
                 n_shards=self.engine.plan.n_shards,
                 n_resolved=0,
                 cache_hits=0,
                 cache_misses=0,
                 objective_value=0.0,
             )
-            self._last_solve_s = 0.0
-            return
+            return empty, 0.0
         with tracing.timed(
             "service.resolve",
             algorithm=self.algorithm,
             n_active=len(self._active),
         ) as t:
-            self.solution = self.engine.solve(self.algorithm)
-        self._last_solve_s = t.wall_s
+            solution = self.engine.solve(self.algorithm, active=self._active)
         metrics.observe("service.resolve_ms", t.wall_s * 1e3)
+        return solution, t.wall_s
 
-    def _mutate_problem(
+    def _next_problem(
         self,
         rate_changes: Mapping[int, float],
         moves: Mapping[int, int],
-        policy_changes: Mapping[int, str] | None = None,
-    ) -> None:
-        """Rebuild the immutable problem with new sessions/rates/policies
-        and swap it into the engine (cache survives; fingerprints evict
-        stale shards)."""
-        for session, rate in rate_changes.items():
-            self._session_rates[session] = rate
-        for session, policy in (policy_changes or {}).items():
-            self._session_policies[session] = policy
+        policy_changes: Mapping[int, str],
+    ) -> MulticastAssociationProblem:
+        """The current problem with new sessions/rates/policies applied.
+
+        Built aside, never published here: the rate matrix and budgets
+        are shared with the current problem, so the engine's cache and
+        block digests survive the swap.
+        """
+        problem = self.problem
+        user_sessions = list(problem.user_sessions)
         for user, session in moves.items():
-            self._user_sessions[user] = session
+            user_sessions[user] = session
         sessions = tuple(
-            Session(i, rate, self._session_names[i])
-            for i, rate in enumerate(self._session_rates)
+            Session(i, rate_changes.get(i, s.rate_mbps), s.name)
+            for i, s in enumerate(problem.sessions)
         )
-        self.problem = MulticastAssociationProblem(
-            self._base.link_rates,
-            self._user_sessions,
+        policies = [
+            policy_changes.get(i, policy)
+            for i, policy in enumerate(problem.session_policies)
+        ]
+        return MulticastAssociationProblem(
+            problem.link_rates,
+            user_sessions,
             sessions,
-            self._base.budgets,
-            self._session_policies,
+            problem.budgets,
+            policies,
         )
-        self.engine.swap_problem(self.problem)
-        if metrics.enabled():
-            metrics.incr("service.problem_rebuilds")
-            metrics.incr("service.moves", len(moves))
-            metrics.incr("service.rate_changes", len(rate_changes))
 
     # -- HTTP payloads ---------------------------------------------------
 
@@ -463,9 +414,7 @@ class ControlService:
             "algorithm": self.algorithm,
             "n_active": len(active),
             "n_served": n_served,
-            "objective_value": (
-                self.solution.value() if self.solution else 0.0
-            ),
+            "objective_value": self.solution.value(),
             "active": active,
             "assignments": assignments,
         }
@@ -496,6 +445,8 @@ class ControlService:
             "n_sessions": self.problem.n_sessions,
             "n_active": len(self._active),
             "n_shards": self.engine.plan.n_shards,
-            "session_rates_mbps": list(self._session_rates),
-            "session_policies": list(self._session_policies),
+            "session_rates_mbps": [
+                s.rate_mbps for s in self.problem.sessions
+            ],
+            "session_policies": list(self.problem.session_policies),
         }

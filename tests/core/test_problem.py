@@ -116,14 +116,53 @@ class TestAccessors:
             type(u) is int for s in range(4) for u in p.users_of_session(s)
         )
 
+    @staticmethod
+    def edge_coverage_problem():
+        # user 1 is isolated, user 2 is in range of every AP; AP 2 covers
+        # every user that is not isolated.
+        rates = [
+            [3, 0, 6, 0],
+            [4, 0, 5, 0],
+            [2, 0, 1, 5],
+            [0, 0, 4, 0],
+        ]
+        return MulticastAssociationProblem(rates, [0] * 4, [Session(0, 1.0)])
+
     def test_aps_of_user(self):
         p = paper_example_problem(1.0)
         assert p.aps_of_user(0) == [0]
         assert p.aps_of_user(3) == [0, 1]
+        edge = self.edge_coverage_problem()
+        assert edge.aps_of_user(1) == []
+        assert edge.aps_of_user(2) == [0, 1, 2, 3]
+        assert edge.aps_of_user(3) == [2]
+        assert all(
+            type(a) is int
+            for u in range(edge.n_users)
+            for a in edge.aps_of_user(u)
+        )
 
     def test_users_of_ap(self):
         p = paper_example_problem(1.0)
         assert p.users_of_ap(1) == [2, 3, 4]
+        edge = self.edge_coverage_problem()
+        assert edge.users_of_ap(2) == [0, 2, 3]
+        assert edge.users_of_ap(3) == [2]
+        assert all(
+            type(u) is int
+            for a in range(edge.n_aps)
+            for u in edge.users_of_ap(a)
+        )
+
+    def test_neighbour_lists_match_the_scalar_scan(self):
+        p = random_problem(random.Random(4), n_aps=9, n_users=40)
+        m = p.link_rates
+        for u in range(p.n_users):
+            expected = [a for a in range(p.n_aps) if m[a, u] > 0]
+            assert p.aps_of_user(u) == expected
+        for a in range(p.n_aps):
+            expected = [u for u in range(p.n_users) if m[a, u] > 0]
+            assert p.users_of_ap(a) == expected
 
     def test_link_rate_and_in_range(self):
         p = paper_example_problem(1.0)

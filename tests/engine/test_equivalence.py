@@ -153,8 +153,7 @@ def test_active_subset_matches_restricted_monolithic(objective):
     solver = {"mnu": solve_mnu, "bla": solve_bla, "mla": solve_mla}[objective]
     reference = solver(restricted).assignment
     engine = ShardedEngine(problem)
-    engine.set_active(active)
-    solution = engine.solve(objective)
+    solution = engine.solve(objective, active=active)
     for local, global_user in enumerate(keep):
         assert solution.assignment.ap_of(global_user) == reference.ap_of(local)
     for user in sorted(dropped_shard | thinned):
@@ -174,9 +173,8 @@ def test_merged_shards_preserve_exactness():
 def test_no_active_users_yields_empty_assignment():
     problem = block_problem(11, n_blocks=2)
     engine = ShardedEngine(problem)
-    engine.set_active([])
     for objective in ("mnu", "bla", "mla"):
-        solution = engine.solve(objective)
+        solution = engine.solve(objective, active=[])
         assert solution.assignment.n_served == 0
         assert solution.value() == 0.0
         if objective == "bla":
@@ -231,8 +229,7 @@ def test_mla_value_is_bit_identical_to_monolithic(kind, share, policies):
         assert engine.plan.n_shards == 1
     else:
         assert engine.plan.n_shards > 1
-    engine.set_active(active)
-    solution = engine.solve("mla")
+    solution = engine.solve("mla", active=active)
     expected = [None] * problem.n_users
     for local, global_user in enumerate(keep):
         expected[global_user] = reference.ap_of(local)

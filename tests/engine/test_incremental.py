@@ -7,10 +7,9 @@ import pytest
 
 from repro.core.errors import ModelError
 from repro.core.ledger import LoadLedger
-from repro.core.online import ChurnEvent
 from repro.engine import ShardedEngine, plan_shards, shard_fingerprint
 from repro.engine.incremental import CacheStats, ShardCache
-from repro.engine.shard import build_shards
+from repro.engine.shard import _hash_block, build_shards
 from repro.scenarios.federation import generate_federation
 from tests.engine.conftest import block_problem
 
@@ -55,7 +54,7 @@ class TestFingerprint:
     @pytest.fixture
     def setup(self):
         problem = block_problem(30, n_blocks=3)
-        shards = build_shards(problem, plan_shards(problem))
+        shards = build_shards(plan_shards(problem))
         return problem, shards
 
     def test_deterministic(self, setup):
@@ -114,14 +113,15 @@ class TestEngineCache:
         """The ISSUE's acceptance criterion, asserted via the counters."""
         n = engine.plan.n_shards
         user = engine.plan.shards[2].users[0]
-        if kind == "join":
-            engine.leave(user)  # start without the user, then join it back
-            engine.solve("mnu")
-            engine.process_event(ChurnEvent("join", user))
-        else:
-            engine.solve("mnu")
-            engine.process_event(ChurnEvent("leave", user))
-        after = engine.solve("mnu")
+        everyone = set(range(engine.problem.n_users))
+        without = everyone - {user}
+        # join: start without the user, then join it back; leave: the
+        # reverse.
+        before, after_event = (
+            (without, everyone) if kind == "join" else (everyone, without)
+        )
+        engine.solve("mnu", active=before)
+        after = engine.solve("mnu", active=after_event)
         assert after.cache_misses == 1
         assert after.cache_hits == n - 1
         assert after.n_resolved == 1
@@ -137,15 +137,6 @@ class TestEngineCache:
         solution = engine.solve("mnu")
         assert (solution.cache_hits, solution.cache_misses) == (0, 0)
         assert solution.n_resolved == engine.plan.n_shards
-
-    def test_membership_guard(self, engine):
-        with pytest.raises(ModelError):
-            engine.join(0)  # already active
-        engine.leave(0)
-        with pytest.raises(ModelError):
-            engine.leave(0)
-        with pytest.raises(ModelError):
-            engine.join(10_000)
 
     def test_warm_mla_solve_builds_only_the_resolved_shards_ledgers(
         self, monkeypatch
@@ -164,7 +155,7 @@ class TestEngineCache:
         assert engine.plan.n_shards == 40
         engine.solve("mla")
         leaver = engine.plan.shards[17].users[3]
-        engine.leave(leaver)
+        active = set(range(problem.n_users)) - {leaver}
         built: list[object] = []
         original = LoadLedger.__init__
 
@@ -173,7 +164,7 @@ class TestEngineCache:
             original(self, ledger_problem, *args, **kwargs)
 
         monkeypatch.setattr(LoadLedger, "__init__", counting_init)
-        warm = engine.solve("mla")
+        warm = engine.solve("mla", active=active)
         monkeypatch.undo()
         assert warm.n_resolved == 1
         assert warm.cache_hits == 39
@@ -192,7 +183,7 @@ class TestFingerprintSoundness:
     @pytest.fixture
     def setup(self):
         problem = block_problem(33, n_blocks=3)
-        shards = build_shards(problem, plan_shards(problem))
+        shards = build_shards(plan_shards(problem))
         return problem, shards
 
     @staticmethod
@@ -245,20 +236,34 @@ class TestFingerprintSoundness:
         rates[shard.aps[-1], active[-1]] += 6.0
         bumped = self.rebuilt(problem, link_rates=rates)
         assert shard_fingerprint(bumped, shard, active) != baseline
-        # ... and the bumped matrix did not overwrite the cached digest.
+        # ... and the original matrix is hashed afresh, to the same digest.
         assert shard_fingerprint(problem, shard, active) == baseline
 
-    def test_rebinding_keeps_the_digest_only_for_the_same_matrix(self, setup):
+    def test_digest_is_cached_for_the_last_matrix_hashed(
+        self, setup, monkeypatch
+    ):
         problem, shards = setup
         shard = shards[1]
-        baseline = shard_fingerprint(problem, shard, shard.users)
-        shard.rebind(self.rebuilt(problem))
-        assert shard_fingerprint(problem, shard, shard.users) == baseline
+        hashed: list[np.ndarray] = []
+
+        def counting_hash(rates, aps, users):
+            hashed.append(rates)
+            return _hash_block(rates, aps, users)
+
+        monkeypatch.setattr("repro.engine.shard._hash_block", counting_hash)
+        baseline = shard.block_digest(problem)
+        # A rebuilt problem sharing the rate matrix is answered from cache.
+        assert shard.block_digest(self.rebuilt(problem)) == baseline
+        assert hashed == [problem.link_rates]
         rates = np.array(problem.link_rates)
         rates[shard.aps[0], shard.users[0]] += 6.0
         bumped = self.rebuilt(problem, link_rates=rates)
-        shard.rebind(bumped)
-        assert shard_fingerprint(bumped, shard, shard.users) != baseline
+        assert shard.block_digest(bumped) != baseline
+        assert shard.block_digest(bumped) == shard.block_digest(bumped)
+        assert len(hashed) == 2 and hashed[1] is rates
+        # Returning to the first matrix re-hashes it: one digest is kept.
+        assert shard.block_digest(problem) == baseline
+        assert len(hashed) == 3
 
     def test_users_outside_the_shard_are_rejected(self, setup):
         problem, shards = setup
@@ -269,7 +274,7 @@ class TestFingerprintSoundness:
 
 
 class TestSwapProblemKeepsThePlan:
-    def test_move_rebinds_shards_without_replanning(self):
+    def test_move_keeps_the_shards_without_replanning(self):
         problem = block_problem(35, n_blocks=4)
         engine = ShardedEngine(problem)
         engine.solve("mla")
@@ -285,7 +290,7 @@ class TestSwapProblemKeepsThePlan:
         assert [s.users for s in engine.shards] == [
             s.users for s in plan.shards
         ]
-        assert all(s.problem is moved for s in engine.shards)
+        assert engine.problem is moved
         warm = engine.solve("mla")
         assert warm.n_resolved == 1
         cold = ShardedEngine(moved)

@@ -15,14 +15,14 @@ from tests.engine.conftest import block_problem
 def sharded():
     problem = block_problem(10, n_blocks=4, aps_per=2, users_per=5)
     plan = plan_shards(problem)
-    return problem, build_shards(problem, plan)
+    return problem, build_shards(plan)
 
 
 class TestSlice:
     def test_submatrix_matches_parent(self, sharded):
         problem, shards = sharded
         for shard in shards:
-            sub = shard.slice()
+            sub = shard.slice(problem)
             assert sub.problem.n_aps == shard.n_aps
             assert sub.problem.n_users == shard.n_users
             for li, gu in enumerate(sub.users):
@@ -38,13 +38,13 @@ class TestSlice:
     def test_sessions_catalog_preserved(self, sharded):
         problem, shards = sharded
         for shard in shards:
-            assert shard.slice().problem.sessions == problem.sessions
+            assert shard.slice(problem).problem.sessions == problem.sessions
 
     def test_active_subset_slicing(self, sharded):
-        _, shards = sharded
+        problem, shards = sharded
         shard = shards[0]
         keep = set(shard.users[::2])
-        sub = shard.slice(keep)
+        sub = shard.slice(problem, keep)
         assert sub.users == tuple(sorted(keep))
         assert sub.problem.n_users == len(keep)
 
@@ -54,9 +54,9 @@ class TestSlice:
         assert shards[0].active_users(foreign) == ()
 
     def test_local_global_roundtrip(self, sharded):
-        _, shards = sharded
+        problem, shards = sharded
         for shard in shards:
-            sub = shard.slice()
+            sub = shard.slice(problem)
             for gu in shard.users:
                 assert sub.global_user(shard.local_user(gu)) == gu
             for ga in shard.aps:
@@ -65,9 +65,9 @@ class TestSlice:
 
 class TestMapAssignment:
     def test_maps_to_global_pairs(self, sharded):
-        _, shards = sharded
+        problem, shards = sharded
         shard = shards[0]
-        sub = shard.slice()
+        sub = shard.slice(problem)
         local = [0] * sub.problem.n_users
         local[0] = None
         pairs = sub.map_assignment(local)
@@ -75,8 +75,8 @@ class TestMapAssignment:
         assert len(pairs) == sub.problem.n_users - 1
 
     def test_wrong_length_rejected(self, sharded):
-        _, shards = sharded
-        sub = shards[0].slice()
+        problem, shards = sharded
+        sub = shards[0].slice(problem)
         with pytest.raises(ModelError):
             sub.map_assignment([None])
 

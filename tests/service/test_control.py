@@ -177,12 +177,16 @@ class TestDifferentialOracle:
         def boom(*args, **kwargs):
             raise RuntimeError("solver died mid-tick")
 
+        pre_tick = control.problem
         monkeypatch.setattr(control.engine, "solve", boom)
         with pytest.raises(RuntimeError):
             control.apply_events(
                 [Event("move", user=7, session=1), Event("leave", user=20)]
             )
         monkeypatch.undo()
+        assert control.problem is pre_tick
+        assert control.engine.problem is control.problem
+        assert 20 in control.active
         for events in (
             [Event("join", user=11), Event("move", user=9, session=0)],
             [Event("set-policy", session=2, policy="dms")],

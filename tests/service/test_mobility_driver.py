@@ -17,7 +17,6 @@ from repro.scenarios.generator import generate
 from repro.service.control import ControlService
 from repro.service.driver import (
     batches_bytes,
-    compile_motion_trace,
     generate_mobility_batches,
     stream_bytes,
 )
