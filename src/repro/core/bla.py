@@ -35,7 +35,6 @@ from repro.core.candidates import (
 from repro.core.errors import CoverageError
 from repro.core.mcg import greedy_mcg, greedy_mcg_flat
 from repro.core.problem import MulticastAssociationProblem
-from repro.vec import backend
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def _iterated_mnu_flat(
     (ascending) — exactly the restricted sets the scalar twin extends
     ``picked`` with. ``None`` when the cap is hit (guess infeasible).
     """
-    members = backend.as_int64(family.members)
+    members = family.arrays().members
     bounds = family.offsets
     remaining = np.ones(family.n_users, dtype=bool)
     remaining_count = family.n_users

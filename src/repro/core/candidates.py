@@ -119,8 +119,9 @@ class CandidateFamily:
     Per-candidate attributes live in parallel stdlib arrays (``'q'`` =
     int64, ``'d'`` = float64) and session membership in one CSR table:
     candidate ``k`` covers ``members[offsets[k]:offsets[k+1]]``, always
-    ascending. The numpy backend (:mod:`repro.vec.backend`) views the
-    same buffers zero-copy.
+    ascending. :meth:`arrays` views the same buffers zero-copy through
+    :mod:`repro.vec.backend`, together with the incidence tables the
+    greedy needs; it is built once and kept for the family's lifetime.
 
     A family built by :func:`build_family` enumerates candidates in
     exactly :func:`build_candidates`' order and carries bit-identical
@@ -137,7 +138,7 @@ class CandidateFamily:
         "cost",
         "offsets",
         "members",
-        "_incidence",
+        "_arrays",
     )
 
     def __init__(
@@ -160,7 +161,7 @@ class CandidateFamily:
         self.cost = cost
         self.offsets = offsets
         self.members = members
-        self._incidence: tuple[array, array] | None = None
+        self._arrays: FamilyArrays | None = None
 
     @property
     def n_candidates(self) -> int:
@@ -173,25 +174,17 @@ class CandidateFamily:
         """Candidate ``k``'s covered users, ascending (a fresh array)."""
         return self.members[self.offsets[k] : self.offsets[k + 1]]
 
-    def incidence(self) -> tuple[array, array]:
-        """The inverted CSR: user ``u`` is covered by candidates
-        ``inc_candidates[inc_offsets[u]:inc_offsets[u+1]]``, ascending.
+    def arrays(self) -> FamilyArrays:
+        """The family's numpy side, built on first use and kept."""
+        if self._arrays is None:
+            self._arrays = FamilyArrays(self)
+        return self._arrays
 
-        Built lazily by :func:`repro.vec.backend.invert_csr`, whose stable
-        sort keeps per-user candidate lists ascending — the order the
-        greedy tie-break contract requires.
-        """
-        if self._incidence is None:
-            inc_offsets, inc_candidates = backend.invert_csr(
-                backend.as_int64(self.offsets),
-                backend.as_int64(self.members),
-                self.n_users,
-            )
-            self._incidence = (
-                array("q", inc_offsets.tobytes()),
-                array("q", inc_candidates.tobytes()),
-            )
-        return self._incidence
+    def incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """The inverted CSR: user ``u`` is covered by candidates
+        ``inc_candidates[inc_offsets[u]:inc_offsets[u+1]]``, ascending."""
+        arrays = self.arrays()
+        return arrays.inc_offsets, arrays.inc_candidates
 
     def candidate(self, k: int) -> CandidateSet:
         """Materialize candidate ``k`` as a classic :class:`CandidateSet`."""
@@ -235,6 +228,52 @@ class CandidateFamily:
             offsets=offsets,
             members=members,
         )
+
+
+class FamilyArrays:
+    """What the flat greedy reads of a family, set up once per family.
+
+    ``offsets``, ``members`` and ``ap`` are int64 and ``cost`` float64
+    views of the family's columns. ``inc_offsets``/``inc_candidates`` is
+    the user → candidates inverted CSR, built by
+    :func:`repro.vec.backend.invert_csr`, whose stable sort keeps each
+    user's candidate list ascending — the order the greedy tie-break
+    contract requires. :meth:`groups` adds the AP → candidates CSR on
+    first use, since only the group-budgeted greedy reads it.
+    """
+
+    __slots__ = (
+        "n_aps",
+        "offsets",
+        "members",
+        "ap",
+        "cost",
+        "inc_offsets",
+        "inc_candidates",
+        "_groups",
+    )
+
+    def __init__(self, family: CandidateFamily) -> None:
+        self.n_aps = family.n_aps
+        self.offsets = backend.as_int64(family.offsets)
+        self.members = backend.as_int64(family.members)
+        self.ap = backend.as_int64(family.ap)
+        self.cost = backend.as_float64(family.cost)
+        self.inc_offsets, self.inc_candidates = backend.invert_csr(
+            self.offsets, self.members, family.n_users
+        )
+        self._groups: tuple[np.ndarray, np.ndarray] | None = None
+
+    def groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The AP → candidates CSR: AP ``a`` owns candidates
+        ``group_candidates[group_offsets[a]:group_offsets[a+1]]``."""
+        if self._groups is None:
+            self._groups = backend.invert_csr(
+                np.arange(self.ap.size + 1, dtype=np.int64),
+                self.ap,
+                self.n_aps,
+            )
+        return self._groups
 
 
 def build_family(problem: MulticastAssociationProblem) -> CandidateFamily:

@@ -9,6 +9,14 @@ A set may overshoot its group's budget — the paper then splits the selection
 ``H`` into ``H1`` (sets that stayed within budget when added) and ``H2``
 (the overshooting sets, at most one per group) and outputs whichever covers
 more elements, yielding the 8-approximation of Theorem 2.
+
+:func:`greedy_mcg` is the scalar reference. Production runs
+:func:`greedy_flat`, the one array-backed greedy loop: MCG calls it with
+budgets and keeps only the H1/H2 split (:func:`greedy_mcg_flat`), and
+``CostSC`` (:func:`repro.core.setcover.greedy_set_cover_flat`) is its
+no-groups call. Its setup — the family's numpy views and incidence
+tables — is built once per family by
+:meth:`~repro.core.candidates.CandidateFamily.arrays`.
 """
 
 from __future__ import annotations
@@ -129,7 +137,91 @@ def greedy_mcg(
     )
 
 
-# -- the flat (array-backed) twin --------------------------------------------
+# -- the flat (array-backed) kernel ------------------------------------------
+
+
+def greedy_flat(
+    family: CandidateFamily,
+    ground: np.ndarray | None,
+    live: np.ndarray | None,
+    budgets: Sequence[float] | None,
+    initial_group_cost: Sequence[float] | None,
+) -> tuple[list[int], list[int], np.ndarray, int]:
+    """The one array-backed greedy loop, for ``CostSC`` and for MCG.
+
+    Each round picks the first candidate of highest efficiency (newly
+    covered users per unit cost) among ``live`` candidates (all when
+    ``None``) over the ``ground`` users (all when ``None``), until no
+    candidate covers a new user. ``budgets=None`` is ``CostSC`` (Fig. 8):
+    no groups. Otherwise it is Fig. 3's greedy: a group (AP) whose cost,
+    counted from ``initial_group_cost``, reaches its budget is closed.
+
+    A candidate's efficiency is ``-inf`` once it can never be picked —
+    picked, not live, its group closed, or nothing new to cover — and
+    none of these is ever undone, so a pick only recomputes the finite
+    efficiencies of the candidates it touched.
+
+    Returns ``(selected, overshooting, remaining, n_live)``: the picks in
+    order, the picks that left their group over budget (H2), the ground
+    users left uncovered, and the number of live candidates that cover
+    some ground user.
+    """
+    arrays = family.arrays()
+    members, costs = arrays.members, arrays.cost
+    inc_off, inc_cand = arrays.inc_offsets, arrays.inc_candidates
+    remaining = (
+        np.ones(family.n_users, dtype=bool)
+        if ground is None
+        else np.array(ground, dtype=bool)
+    )
+    remaining_count = int(np.count_nonzero(remaining))
+    counts = backend.segment_counts(arrays.offsets, members, remaining)
+    eligible = counts > 0
+    if live is not None:
+        eligible &= live
+    n_live = int(np.count_nonzero(eligible))
+    if budgets is not None:
+        budget = [float(b) for b in budgets]
+        group_cost = (
+            [0.0] * len(budget)
+            if initial_group_cost is None
+            else [float(c) for c in initial_group_cost]
+        )
+        is_open = [c < b for c, b in zip(group_cost, budget, strict=True)]
+        eligible &= np.array(is_open, dtype=bool)[arrays.ap]
+        group_off, group_cand = arrays.groups()
+    eff = np.where(eligible, counts / costs, -np.inf)
+
+    selected: list[int] = []
+    overshooting: list[int] = []
+    # Per-pick scalars come from the stdlib columns: indexing them is
+    # cheaper than boxing numpy scalars, and the values are the same.
+    bounds, group_of, cost_of = family.offsets, family.ap, family.cost
+    n = family.n_candidates
+    while remaining_count:
+        k = backend.first_argmax(eff) if n else -1
+        if k < 0 or not eff[k] > 0.0:
+            break
+        selected.append(k)
+        eff[k] = -np.inf
+        if budgets is not None:
+            # A pick's group is open, so this pick may close it.
+            g = group_of[k]
+            group_cost[g] += cost_of[k]
+            if group_cost[g] > budget[g]:
+                overshooting.append(k)
+            if not group_cost[g] < budget[g]:
+                eff[group_cand[group_off[g] : group_off[g + 1]]] = -np.inf
+        m = members[bounds[k] : bounds[k + 1]]
+        new = m[remaining[m]]
+        remaining[new] = False
+        remaining_count -= int(new.size)
+        touched = backend.gather_segments(inc_off, inc_cand, new)
+        backend.subtract_at(counts, touched)
+        left = counts[touched]
+        keep = (left > 0) & (eff[touched] > -np.inf)
+        eff[touched] = np.where(keep, left / costs[touched], -np.inf)
+    return selected, overshooting, remaining, n_live
 
 
 @dataclass(frozen=True)
@@ -147,16 +239,10 @@ class FlatMcgResult:
     overshooting: tuple[int, ...]
     chosen: tuple[int, ...]
     covered: np.ndarray = field(repr=False)
-    rounds: int
-    n_live: int
 
     @property
     def n_covered(self) -> int:
         return int(self.covered.sum())
-
-    def covered_users(self) -> list[int]:
-        """The covered users, ascending."""
-        return [int(u) for u in np.nonzero(self.covered)[0]]
 
     def to_mcg_result(self, family: CandidateFamily) -> McgResult:
         """The classic :class:`McgResult`, each selected candidate
@@ -173,106 +259,8 @@ class FlatMcgResult:
             within_budget=tuple(get(k) for k in self.within_budget),
             overshooting=tuple(get(k) for k in self.overshooting),
             chosen=tuple(get(k) for k in self.chosen),
-            covered=frozenset(self.covered_users()),
+            covered=frozenset(np.flatnonzero(self.covered).tolist()),
         )
-
-
-def _flat_numpy(
-    family: CandidateFamily,
-    budgets: Sequence[float],
-    ground: "np.ndarray | None",
-    live: "np.ndarray | None",
-    initial_group_cost: Sequence[float] | None,
-) -> tuple[list[int], list[int], list[int], np.ndarray, int, int]:
-    """Numpy-backed greedy rounds. Returns ``(selected, within, over,
-    ground0, rounds, n_live)``."""
-    n = family.n_candidates
-    offsets = backend.as_int64(family.offsets)
-    members = backend.as_int64(family.members)
-    costs = backend.as_float64(family.cost)
-    group_of = backend.as_int64(family.ap)
-    inc_off_raw, inc_cand_raw = family.incidence()
-    inc_off = backend.as_int64(inc_off_raw)
-    inc_cand = backend.as_int64(inc_cand_raw)
-
-    ground0 = (
-        np.ones(family.n_users, dtype=bool) if ground is None else ground.copy()
-    )
-    remaining = ground0.copy()
-    remaining_count = int(remaining.sum())
-    counts = backend.segment_counts(offsets, members, remaining)
-    live_mask = (
-        np.ones(n, dtype=bool) if live is None else np.asarray(live, dtype=bool)
-    )
-    n_live = int((live_mask & (counts > 0)).sum())
-
-    group_cost = (
-        [0.0] * len(budgets)
-        if initial_group_cost is None
-        else [float(c) for c in initial_group_cost]
-    )
-    budget_list = [float(b) for b in budgets]
-    open_list = [c < b for c, b in zip(group_cost, budget_list, strict=True)]
-    open_np = np.array(open_list, dtype=bool)
-    available = np.ones(n, dtype=bool)
-    eligible = live_mask & (counts > 0) & open_np[group_of] if n else live_mask
-    eff = (
-        np.where(eligible, counts / costs, -np.inf)
-        if n
-        else np.empty(0, dtype=np.float64)
-    )
-    gm_off, gm_cand = backend.invert_csr(
-        np.arange(n + 1, dtype=np.int64), group_of, len(budget_list)
-    )
-
-    selected: list[int] = []
-    within: list[int] = []
-    overshooting: list[int] = []
-    rounds = 0
-    # Per-pick scalars come from the stdlib columns: indexing them is
-    # cheaper than boxing numpy scalars, and the values are the same.
-    bounds, group_list, cost_of = family.offsets, family.ap, family.cost
-    while remaining_count:
-        rounds += 1
-        if not eff.size:
-            break
-        k = backend.first_argmax(eff)
-        if not eff[k] > 0.0:
-            break
-        g = group_list[k]
-        group_cost[g] += cost_of[k]
-        closes = open_list[g] and not (group_cost[g] < budget_list[g])
-        if closes:
-            open_list[g] = False
-            open_np[g] = False
-        available[k] = False
-        eff[k] = -np.inf
-        m = members[bounds[k] : bounds[k + 1]]
-        new = m[remaining[m]]
-        touched: "np.ndarray | None" = None
-        if new.size:
-            remaining[new] = False
-            remaining_count -= int(new.size)
-            touched = backend.gather_segments(inc_off, inc_cand, new)
-            backend.subtract_at(counts, touched)
-        if closes:
-            eff[gm_cand[gm_off[g] : gm_off[g + 1]]] = -np.inf
-        if touched is not None and touched.size:
-            ok = (
-                live_mask[touched]
-                & available[touched]
-                & (counts[touched] > 0)
-                & open_np[group_of[touched]]
-            )
-            eff[touched] = np.where(
-                ok, counts[touched] / costs[touched], -np.inf
-            )
-        selected.append(k)
-        if group_cost[g] > budgets[g]:
-            overshooting.append(k)
-        else:
-            within.append(k)
-    return selected, within, overshooting, ground0, rounds, n_live
 
 
 def greedy_mcg_flat(
@@ -299,24 +287,25 @@ def greedy_mcg_flat(
         budgets
     ):
         raise ValueError("one initial cost per group required")
-    ground_arr = None if ground is None else np.asarray(ground, dtype=bool)
+    ground = None if ground is None else np.asarray(ground, dtype=bool)
     with instrument.span("mcg.greedy"):
-        selected, within, overshooting, ground0, rounds, n_live = (
-            _flat_numpy(
-                family, budgets, ground_arr, _as_bool_or_none(live),
-                initial_group_cost,
-            )
+        selected, overshooting, remaining, n_live = greedy_flat(
+            family,
+            ground,
+            None if live is None else np.asarray(live, dtype=bool),
+            budgets,
+            initial_group_cost,
         )
-    offsets = backend.as_int64(family.offsets)
-    members = backend.as_int64(family.members)
+    arrays = family.arrays()
 
     def half_mask(indices: Sequence[int]) -> np.ndarray:
+        keys = np.asarray(indices, dtype=np.int64)
         union = np.zeros(family.n_users, dtype=bool)
-        for k in indices:
-            m = members[offsets[k] : offsets[k + 1]]
-            union[m[ground0[m]]] = True
-        return union
+        union[backend.gather_segments(arrays.offsets, arrays.members, keys)] = True
+        return union if ground is None else union & ground
 
+    over = set(overshooting)
+    within = [k for k in selected if k not in over]
     if not split:
         chosen = tuple(selected)
         covered = half_mask(selected)
@@ -328,6 +317,8 @@ def greedy_mcg_flat(
         else:
             chosen, covered = tuple(overshooting), h2_mask
     if instrument.enabled():
+        # The scalar loop counts a last, empty round when it stalls.
+        rounds = len(selected) + int(remaining.any())
         instrument.incr("mcg.runs")
         instrument.incr("mcg.rounds", rounds)
         instrument.incr("mcg.candidate_scans", rounds * n_live)
@@ -338,14 +329,4 @@ def greedy_mcg_flat(
         overshooting=tuple(overshooting),
         chosen=chosen,
         covered=covered,
-        rounds=rounds,
-        n_live=n_live,
     )
-
-
-def _as_bool_or_none(
-    live: "Sequence[bool] | np.ndarray | None",
-) -> "np.ndarray | None":
-    if live is None:
-        return None
-    return np.asarray(live, dtype=bool)

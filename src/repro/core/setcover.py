@@ -3,6 +3,10 @@
 Repeatedly picks the set maximizing newly-covered-elements per unit cost
 until the ground set is covered; an ``(ln n + 1)``-approximation (Theorem 6,
 via Vazirani). Used directly by Centralized MLA.
+
+:func:`greedy_set_cover` is the scalar reference. The production
+:func:`greedy_set_cover_flat` has no loop of its own: it is the no-groups
+call of the one flat greedy, :func:`repro.core.mcg.greedy_flat`.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import numpy as np
 
 from repro.core.candidates import CandidateFamily, CandidateSet
 from repro.core.errors import CoverageError
-from repro.vec import backend
+from repro.core.mcg import greedy_flat
 
 
 @dataclass(frozen=True)
@@ -78,59 +82,20 @@ def greedy_set_cover_flat(
 ) -> tuple[list[int], float]:
     """``CostSC`` on a flat family; bit-identical to :func:`greedy_set_cover`.
 
-    ``ground`` is the element universe as a numpy bool mask, or ``None``
-    for all users. Returns the selected candidate indices in greedy order
-    plus the summed cost (accumulated in the same order, so the float is
-    identical to the scalar reference's). Raises :class:`CoverageError`
-    with the same sorted missing-user list.
+    The no-groups call of the one flat greedy,
+    :func:`~repro.core.mcg.greedy_flat`. ``ground`` is the element
+    universe as a numpy bool mask, or ``None`` for all users. Returns the
+    selected candidate indices in greedy order plus the summed cost
+    (accumulated in the same order, so the float is identical to the
+    scalar reference's). With no groups the greedy stops short only on
+    users no candidate covers, so the users it leaves are exactly the
+    missing ones: it raises :class:`CoverageError` with the same sorted
+    list as the reference.
     """
-    n = family.n_candidates
-    offsets = backend.as_int64(family.offsets)
-    members = backend.as_int64(family.members)
-    costs = backend.as_float64(family.cost)
-    inc_off_raw, inc_cand_raw = family.incidence()
-    inc_off = backend.as_int64(inc_off_raw)
-    inc_cand = backend.as_int64(inc_cand_raw)
-
-    remaining = (
-        np.ones(family.n_users, dtype=bool)
-        if ground is None
-        else np.array(ground, dtype=bool)
-    )
-    coverable = np.zeros(family.n_users, dtype=bool)
-    if members.size:
-        coverable[members] = True
-    missing = remaining & ~coverable
-    if missing.any():
-        raise CoverageError([int(u) for u in np.nonzero(missing)[0]])
-
-    remaining_count = int(remaining.sum())
-    counts = backend.segment_counts(offsets, members, remaining)
-    eff = (
-        np.where(counts > 0, counts / costs, -np.inf)
-        if n
-        else np.empty(0, dtype=np.float64)
-    )
-    selected: list[int] = []
-    total_cost = 0.0
-    # Per-pick scalars come from the stdlib columns: indexing them is
-    # cheaper than boxing numpy scalars, and the values are the same.
-    bounds, cost_of = family.offsets, family.cost
-    while remaining_count:
-        k = backend.first_argmax(eff) if eff.size else -1
-        if k < 0 or not eff[k] > 0.0:  # unreachable given the check above
-            raise CoverageError([int(u) for u in np.nonzero(remaining)[0]])
-        selected.append(k)
-        total_cost += cost_of[k]
-        eff[k] = -np.inf
-        m = members[bounds[k] : bounds[k + 1]]
-        new = m[remaining[m]]
-        if new.size:
-            remaining[new] = False
-            remaining_count -= int(new.size)
-            touched = backend.gather_segments(inc_off, inc_cand, new)
-            backend.subtract_at(counts, touched)
-            left = counts[touched]
-            keep = (left > 0) & (eff[touched] > -np.inf)
-            eff[touched] = np.where(keep, left / costs[touched], -np.inf)
+    selected, _, remaining, _ = greedy_flat(family, ground, None, None, None)
+    if remaining.any():
+        raise CoverageError(np.flatnonzero(remaining).tolist())
+    total_cost = 0.0  # summed in pick order, as the reference does
+    for k in selected:
+        total_cost += family.cost[k]
     return selected, total_cost

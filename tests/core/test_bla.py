@@ -10,6 +10,9 @@ from repro.core.bla import max_iterations, solve_bla
 from repro.core.errors import CoverageError
 from repro.core.optimal import solve_bla_optimal
 from repro.core.problem import MulticastAssociationProblem, Session
+from repro.obs import collecting
+from repro.obs.bench import bench_scenarios
+from repro.vec import backend
 from tests.conftest import random_problem
 
 class TestMaxIterations:
@@ -99,3 +102,22 @@ class TestQuality:
             heuristic = solve_bla(p)
             optimal = solve_bla_optimal(p)
             assert heuristic.max_load <= optimal.objective * 3 + 1e-9
+
+
+class TestSetupOnce:
+    def test_family_tables_are_built_once_per_solve(self, monkeypatch):
+        """Every B* probe and iteration of one solve shares one family, so
+        its user and AP incidence tables are each inverted once."""
+        inverted = []
+        invert_csr = backend.invert_csr
+
+        def counting(offsets, members, n_values):
+            inverted.append(n_values)
+            return invert_csr(offsets, members, n_values)
+
+        monkeypatch.setattr(backend, "invert_csr", counting)
+        problem = dict(bench_scenarios(quick=True))["single-domain"].problem()
+        with collecting() as session:
+            solve_bla(problem)
+        assert session.metrics.counters()["mcg.runs"] > 2
+        assert sorted(inverted) == sorted([problem.n_users, problem.n_aps])

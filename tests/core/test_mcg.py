@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from repro.core.candidates import CandidateSet, build_candidates
-from repro.core.mcg import greedy_mcg
+from repro.core.candidates import CandidateFamily, CandidateSet, build_candidates
+from repro.core.mcg import greedy_mcg, greedy_mcg_flat
 from tests.conftest import paper_example_problem, random_problem
 
 
@@ -70,6 +70,22 @@ class TestGreedyMechanics:
     def test_initial_group_cost_length_checked(self):
         with pytest.raises(ValueError):
             greedy_mcg([], [1.0], set(), initial_group_cost=[0.0, 0.0])
+
+    def test_meeting_the_budget_closes_without_overshooting(self):
+        """A pick that brings its group exactly to budget closes the group
+        but stays in H1, in the scalar greedy and the flat one alike."""
+        sets = [
+            cs(0, 0, 6, 0.5, {0, 1}),
+            cs(0, 1, 6, 0.25, {2}),
+            cs(1, 1, 6, 1.0, {2}),
+        ]
+        result = greedy_mcg(sets, [0.5, 10.0], {0, 1, 2})
+        assert result.selected == (sets[0], sets[2])
+        assert result.within_budget == (sets[0], sets[2])
+        assert result.overshooting == ()
+        family = CandidateFamily.from_candidates(sets, n_users=3, n_aps=2)
+        flat = greedy_mcg_flat(family, [0.5, 10.0])
+        assert flat.to_mcg_result(family) == result
 
     def test_split_false_returns_raw(self):
         sets = [cs(0, 0, 6, 0.6, {0}), cs(0, 1, 6, 0.6, {1})]

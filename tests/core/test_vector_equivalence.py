@@ -15,13 +15,19 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.assignment import from_selected_sets
 from repro.core.bla import solve_bla, solve_bla_reference
-from repro.core.candidates import CandidateFamily, build_candidates, build_family
+from repro.core.candidates import (
+    CandidateFamily,
+    build_candidates,
+    build_family,
+    restrict_to_users,
+)
 from repro.core.errors import CoverageError, ModelError
 from repro.core.mcg import greedy_mcg, greedy_mcg_flat
 from repro.core.mla import solve_mla, solve_mla_reference
@@ -67,13 +73,6 @@ def problems(draw, max_aps=5, max_users=12, budgets=BUDGETS):
     return MulticastAssociationProblem(link, user_sessions, sessions, budget)
 
 
-def assert_same_assignment(scalar, vector):
-    assert scalar.ap_of_user == vector.ap_of_user
-    assert [x.hex() for x in scalar.loads()] == [
-        x.hex() for x in vector.loads()
-    ]
-
-
 def assert_same_assignment(reference, production):
     assert reference.ap_of_user == production.ap_of_user
     assert [x.hex() for x in reference.loads()] == [
@@ -104,25 +103,80 @@ def test_build_family_identical(problem):
 # -- MCG greedy coverage ------------------------------------------------------
 
 
+#: Per-AP budgets and carried-in group costs for the MCG differential:
+#: with unit-rate sessions a candidate costs 1/54 to 1/6, so some groups
+#: start closed (carried cost at or over budget) and others close after a
+#: pick or two. A budget of 1/6 is met exactly by one rate-6 pick, which
+#: closes the group without overshooting it.
+GROUP_BUDGETS = (math.inf, 0.3, 1 / 6, 0.15, 0.05)
+CARRIED_COSTS = (0.0, 0.04, 0.1, 0.2)
+
+
+def masks(size):
+    return st.none() | st.lists(st.booleans(), min_size=size, max_size=size)
+
+
 @settings(max_examples=N_EXAMPLES, deadline=None)
-@given(problems(), st.booleans())
-def test_mcg_flat_matches_scalar(problem, split):
+@given(problems(), st.booleans(), st.data())
+def test_mcg_flat_matches_scalar(problem, split, data):
+    """The flat MCG on a ground subset, a live mask and carried group
+    costs — the inputs of iterated MNU and MNU — matches the scalar
+    greedy on the candidate list those inputs restrict to."""
     candidates = build_candidates(problem)
-    ground = set(range(problem.n_users))
-    budgets = list(problem.budgets)
-    scalar, scalar_counters = run_with_counters(
-        lambda: greedy_mcg(candidates, budgets, ground, split=split)
-    )
     family = build_family(problem)
-    flat, flat_counters = run_with_counters(
-        lambda: greedy_mcg_flat(family, budgets, split=split)
+    ground_mask = data.draw(masks(problem.n_users))
+    live = data.draw(masks(len(candidates)))
+    budgets = data.draw(
+        st.lists(
+            st.sampled_from(GROUP_BUDGETS),
+            min_size=problem.n_aps,
+            max_size=problem.n_aps,
+        )
     )
-    vector = flat.to_mcg_result(family)
-    assert vector.selected == scalar.selected
-    assert vector.within_budget == scalar.within_budget
-    assert vector.overshooting == scalar.overshooting
-    assert vector.chosen == scalar.chosen
-    assert vector.covered == scalar.covered
+    carried = data.draw(
+        st.none()
+        | st.lists(
+            st.sampled_from(CARRIED_COSTS),
+            min_size=problem.n_aps,
+            max_size=problem.n_aps,
+        )
+    )
+    ground = set(range(problem.n_users))
+    if ground_mask is not None:
+        ground = {u for u in ground if ground_mask[u]}
+    index_of = {(c.ap, c.session, c.tx_rate): k for k, c in enumerate(candidates)}
+    restricted = restrict_to_users(
+        [c for k, c in enumerate(candidates) if live is None or live[k]],
+        ground,
+    )
+    scalar, scalar_counters = run_with_counters(
+        lambda: greedy_mcg(
+            restricted,
+            budgets,
+            ground,
+            split=split,
+            initial_group_cost=carried,
+        )
+    )
+    flat, flat_counters = run_with_counters(
+        lambda: greedy_mcg_flat(
+            family,
+            budgets,
+            ground=None if ground_mask is None else np.array(ground_mask),
+            live=live,
+            split=split,
+            initial_group_cost=carried,
+        )
+    )
+
+    def indices(sets):
+        return tuple(index_of[(c.ap, c.session, c.tx_rate)] for c in sets)
+
+    assert flat.selected == indices(scalar.selected)
+    assert flat.within_budget == indices(scalar.within_budget)
+    assert flat.overshooting == indices(scalar.overshooting)
+    assert flat.chosen == indices(scalar.chosen)
+    assert set(np.flatnonzero(flat.covered).tolist()) == scalar.covered
     assert flat_counters == scalar_counters
 
 
