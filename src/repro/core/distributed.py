@@ -48,24 +48,6 @@ class Decision:
     improves: bool
 
 
-def _neighbor_loads_after_move(
-    state: AssociationState, user: int, neighbors: list[int], target: int | None
-) -> list[float]:
-    """Loads of the user's neighboring APs if it moved to ``target``."""
-    current = state.ap_of_user[user]
-    loads = []
-    for ap in neighbors:
-        if ap == target and ap == current:
-            loads.append(state.load_of(ap))
-        elif ap == target:
-            loads.append(state.load_if_joined(user, ap))
-        elif ap == current:
-            loads.append(state.load_if_left(user))
-        else:
-            loads.append(state.load_of(ap))
-    return loads
-
-
 def decide(
     state: AssociationState,
     user: int,
@@ -87,46 +69,63 @@ def decide(
         return Decision(user=user, target=None, improves=False)
     current = state.ap_of_user[user]
 
-    options: list[int | None] = [current] if current is not None else [None]
-    for ap in neighbors:
+    # The neighbouring loads are read once. Moving to an option changes at
+    # most two of them, the current AP's (``load_if_left``) and the
+    # target's (``load_if_joined``), so each option's list is the base
+    # list with those two entries substituted in place: the same queries
+    # in the same positions, hence the same sums and sorted vectors.
+    base = [state.load_of(ap) for ap in neighbors]
+    # option -> (its slot in ``neighbors``, its load if the user joined)
+    joined: dict[int, tuple[int, float]] = {}
+    current_slot: int | None = None
+    for slot, ap in enumerate(neighbors):
         if ap == current:
+            current_slot = slot
             continue
-        if enforce_budgets:
-            if state.load_if_joined(user, ap) > problem.budget_of(ap) + epsilon:
-                continue
-        options.append(ap)
+        load = state.load_if_joined(user, ap)
+        if enforce_budgets and load > problem.budget_of(ap) + epsilon:
+            continue
+        joined[ap] = (slot, load)
+    if joined and current_slot is not None:
+        left = state.load_if_left(user)
 
-    if policy in ("mnu", "mla"):
+    def loads_after(target: int | None) -> list[float]:
+        if target == current or target is None:
+            return base
+        loads = base.copy()
+        if current_slot is not None:
+            loads[current_slot] = left
+        slot, load = joined[target]
+        loads[slot] = load
+        return loads
 
-        def score(target: int | None) -> tuple[float, float, int]:
-            loads = (
-                _neighbor_loads_after_move(state, user, neighbors, target)
-                if target is not None or current is not None
-                else [state.load_of(a) for a in neighbors]
-            )
-            total = sum(loads)
-            # tie-breaks: stronger signal first (higher link rate), then
-            # lower AP index; staying unserved ranks last among ties.
-            if target is None:
-                return (total, 0.0, problem.n_aps)
-            return (total, -problem.link_rate(target, user), target)
+    keys: dict[int | None, tuple] = {}
 
-    else:  # bla
+    def score(target: int | None) -> tuple:
+        key = keys.get(target)
+        if key is not None:
+            return key
+        loads = loads_after(target)
+        # MNU/MLA compare the total, BLA the sorted non-increasing vector
+        # (footnote 5). Tie-breaks: stronger signal first (higher link
+        # rate), then lower AP index; staying unserved ranks last.
+        metric = (
+            sum(loads)
+            if policy in ("mnu", "mla")
+            else tuple(sorted(loads, reverse=True))
+        )
+        if target is None:
+            key = (metric, 0.0, problem.n_aps)
+        else:
+            key = (metric, -problem.link_rate(target, user), target)
+        keys[target] = key
+        return key
 
-        def score(target: int | None) -> tuple:
-            loads = _neighbor_loads_after_move(state, user, neighbors, target)
-            vector = tuple(sorted(loads, reverse=True))
-            if target is None:
-                return (vector, 0.0, problem.n_aps)
-            return (vector, -problem.link_rate(target, user), target)
-
-    best = min(options, key=score)
     if current is None:
         # An unserved user always takes a feasible AP when one exists.
-        feasible = [o for o in options if o is not None]
-        if feasible:
-            best = min(feasible, key=score)
+        best = min(joined, key=score, default=None)
         return Decision(user=user, target=best, improves=best is not None)
+    best = min([current, *joined], key=score)
     if best == current:
         return Decision(user=user, target=current, improves=False)
     # Strict-improvement rule: only move when the metric genuinely drops.
@@ -190,7 +189,7 @@ def run_distributed(
         mode=mode,
         n_users=problem.n_users,
     ):
-        result, state = _run_rounds(
+        result, state, decisions = _run_rounds(
             problem,
             policy,
             mode=mode,
@@ -204,7 +203,7 @@ def run_distributed(
         instrument.incr("distributed.runs")
         instrument.incr("distributed.rounds", result.rounds)
         instrument.incr("distributed.moves", result.moves)
-        instrument.incr("distributed.decisions", result.rounds * problem.n_users)
+        instrument.incr("distributed.decisions", decisions)
         if result.oscillated:
             instrument.incr("distributed.oscillations")
         for op, count in state.op_counts().items():
@@ -222,13 +221,30 @@ def _run_rounds(
     shuffle_each_round: bool,
     max_rounds: int,
     enforce_budgets: bool | None,
-) -> tuple[DistributedResult, AssociationState]:
-    """The decision/move loop behind :func:`run_distributed`."""
+) -> tuple[DistributedResult, AssociationState, int]:
+    """The decision/move loop behind :func:`run_distributed`; also returns
+    the number of decisions made.
+
+    Sequential rounds skip *settled* users. A decision reads only the
+    user's own AP and the APs it hears (their loads and what-if loads,
+    plus fixed budgets and rates), and only a move changes those. So a
+    user who decided to stay would decide to stay again until some move
+    leaves or joins an AP it hears, and every such move unsettles that
+    AP's hearers. Skipping settled users therefore replays exactly the
+    moves, rounds and final map of deciding every user every round.
+    Simultaneous rounds decide every user on one snapshot.
+    """
     state = AssociationState(problem, initial)
     rng = rng or random.Random(0)
     order = list(range(problem.n_users))
+    sequential = mode == "sequential"
+    if sequential:
+        hearers = [problem.users_of_ap(ap) for ap in range(problem.n_aps)]
+        settled: set[int] = set()
+    else:
+        seen_states = {state.state_key()}
     total_moves = 0
-    seen_states: dict[tuple[int, ...], int] = {state.state_key(): 0}
+    decisions = 0
     oscillated = False
 
     rounds = 0
@@ -237,21 +253,32 @@ def _run_rounds(
         if shuffle_each_round:
             rng.shuffle(order)
         moved = False
-        if mode == "sequential":
+        if sequential:
             for user in order:
-                decision = decide(
+                if user in settled:
+                    continue
+                decisions += 1
+                target = decide(
                     state, user, policy, enforce_budgets=enforce_budgets
-                )
-                if decision.target != state.ap_of_user[user]:
-                    state.move(user, decision.target)
-                    total_moves += 1
-                    moved = True
+                ).target
+                old = state.ap_of_user[user]
+                if target == old:
+                    settled.add(user)
+                    continue
+                state.move(user, target)
+                total_moves += 1
+                moved = True
+                if old is not None:
+                    settled.difference_update(hearers[old])
+                if target is not None:
+                    settled.difference_update(hearers[target])
         else:
-            decisions = [
+            batch = [
                 decide(state, user, policy, enforce_budgets=enforce_budgets)
                 for user in order
             ]
-            for decision in decisions:
+            decisions += len(batch)
+            for decision in batch:
                 if decision.target != state.ap_of_user[decision.user]:
                     state.move(decision.user, decision.target)
                     total_moves += 1
@@ -266,12 +293,14 @@ def _run_rounds(
                     oscillated=False,
                 ),
                 state,
+                decisions,
             )
-        key = state.state_key()
-        if key in seen_states and mode == "simultaneous":
-            oscillated = True
-            break
-        seen_states[key] = rounds
+        if not sequential:
+            key = state.state_key()
+            if key in seen_states:
+                oscillated = True
+                break
+            seen_states.add(key)
 
     return (
         DistributedResult(
@@ -282,4 +311,5 @@ def _run_rounds(
             oscillated=oscillated,
         ),
         state,
+        decisions,
     )

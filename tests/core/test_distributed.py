@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -10,11 +11,14 @@ import pytest
 from repro.core.assignment import Assignment
 from repro.core.distributed import (
     AssociationState,
+    _vector_less,
     decide,
     run_distributed,
 )
 from repro.core.problem import MulticastAssociationProblem, Session
+from repro.obs import collecting
 from tests.conftest import random_problem
+
 
 def fig4_problem() -> MulticastAssociationProblem:
     """The paper's Figure-4 oscillation example.
@@ -280,3 +284,230 @@ class TestDecide:
         # u2 joining a1 would need 1 + 0.5 > 1: infeasible, no other AP
         decision = decide(state, 1, "mnu")
         assert decision.target is None
+
+
+def reference_decide(state, user, policy, *, enforce_budgets=None, epsilon=1e-12):
+    """The decision rule with every option's neighbour-load list rebuilt
+    from ledger queries, the form ``decide`` must match bit for bit."""
+    problem = state.problem
+    if enforce_budgets is None:
+        enforce_budgets = policy == "mnu"
+    neighbors = problem.aps_of_user(user)
+    if not neighbors:
+        return (None, False)
+    current = state.ap_of_user[user]
+
+    def loads_after(target):
+        loads = []
+        for ap in neighbors:
+            if ap == target and ap == current:
+                loads.append(state.load_of(ap))
+            elif ap == target:
+                loads.append(state.load_if_joined(user, ap))
+            elif ap == current:
+                loads.append(state.load_if_left(user))
+            else:
+                loads.append(state.load_of(ap))
+        return loads
+
+    def score(target):
+        loads = loads_after(target)
+        metric = (
+            sum(loads)
+            if policy in ("mnu", "mla")
+            else tuple(sorted(loads, reverse=True))
+        )
+        if target is None:
+            return (metric, 0.0, problem.n_aps)
+        return (metric, -problem.link_rate(target, user), target)
+
+    options = [current]
+    for ap in neighbors:
+        if ap == current:
+            continue
+        if enforce_budgets:
+            if state.load_if_joined(user, ap) > problem.budget_of(ap) + epsilon:
+                continue
+        options.append(ap)
+    best = min(options, key=score)
+    if current is None:
+        feasible = [o for o in options if o is not None]
+        if feasible:
+            best = min(feasible, key=score)
+        return (best, best is not None)
+    if best == current:
+        return (current, False)
+    current_key, best_key = score(current), score(best)
+    if policy in ("mnu", "mla"):
+        improved = best_key[0] < current_key[0] - epsilon
+    else:
+        improved = _vector_less(best_key[0], current_key[0], epsilon)
+    return (best, True) if improved else (current, False)
+
+
+def reference_sequential(problem, policy, *, initial, rng, shuffle_each_round):
+    """Sequential dynamics that decide every user in every round."""
+    state = AssociationState(problem, initial)
+    order = list(range(problem.n_users))
+    moves = 0
+    for rounds in range(1, 201):
+        if shuffle_each_round:
+            rng.shuffle(order)
+        moved = False
+        for user in order:
+            target = decide(state, user, policy).target
+            if target != state.ap_of_user[user]:
+                state.move(user, target)
+                moves += 1
+                moved = True
+        if not moved:
+            return tuple(state.ap_of_user), rounds, moves, True
+    return tuple(state.ap_of_user), 200, moves, False
+
+
+def random_initial(rng, problem, kind):
+    """``none``, or a map over *all* APs (so some users start on an AP they
+    do not hear), ``partial`` leaving some users unserved."""
+    if kind == "none":
+        return None
+    return [
+        None if kind == "partial" and rng.random() < 0.4
+        else rng.randrange(problem.n_aps)
+        for _ in range(problem.n_users)
+    ]
+
+
+def random_policies(rng, problem):
+    return problem.with_policies(
+        [rng.choice(("legacy", "dms", "hybrid")) for _ in range(problem.n_sessions)]
+    )
+
+
+class TestSettledWorklist:
+    """Sequential rounds skip users whose neighbourhood has not changed
+    since they decided to stay; that must replay the every-user loop."""
+
+    def test_matches_deciding_every_user(self):
+        rng = random.Random(151)
+        unheard_starts = 0
+        for index in range(24):
+            p = random_problem(
+                rng,
+                n_users=rng.randint(1, 16),
+                budget=rng.choice([math.inf, 0.3]),
+                ensure_coverage=index % 3 != 0,
+            )
+            for policy, shuffle, kind in itertools.product(
+                ("mnu", "mla", "bla"), (True, False), ("none", "partial", "full")
+            ):
+                initial = random_initial(rng, p, kind)
+                if initial is not None:
+                    unheard_starts += sum(
+                        ap is not None and not p.in_range(ap, u)
+                        for u, ap in enumerate(initial)
+                    )
+                result = run_distributed(
+                    p,
+                    policy,
+                    initial=initial,
+                    rng=random.Random(index),
+                    shuffle_each_round=shuffle,
+                )
+                expected = reference_sequential(
+                    p,
+                    policy,
+                    initial=initial,
+                    rng=random.Random(index),
+                    shuffle_each_round=shuffle,
+                )
+                got = (
+                    result.assignment.ap_of_user,
+                    result.rounds,
+                    result.moves,
+                    result.converged,
+                )
+                assert got == expected, (index, policy, shuffle, kind)
+        assert unheard_starts > 0
+
+    def test_decisions_counter_counts_decisions_made(self, fig1_load):
+        # Already a local optimum: one round in which all five users stay.
+        with collecting() as session:
+            run_distributed(fig1_load, "mla", initial=[0] * 5)
+        assert session.metrics.snapshot()["counters"]["distributed.decisions"] == 5
+        # Fig. 4 from the swap state: u2 (user 1) moves in round 1, which
+        # unsettles both APs' hearers, so round 1 decides all four users.
+        # Round 2 skips only the users settled after that move (users 2, 3).
+        with collecting() as session:
+            result = run_distributed(
+                fig4_problem(),
+                "mla",
+                initial=[0, 0, 1, 1],
+                shuffle_each_round=False,
+            )
+        counters = session.metrics.snapshot()["counters"]
+        assert result.assignment.ap_of_user == (0, 1, 1, 1)
+        assert (result.rounds, result.moves) == (2, 1)
+        assert counters["distributed.decisions"] == 4 + 2
+
+    def test_simultaneous_decides_every_user(self):
+        with collecting() as session:
+            result = run_distributed(
+                fig4_problem(),
+                "mla",
+                mode="simultaneous",
+                initial=[0, 0, 1, 1],
+                shuffle_each_round=False,
+                max_rounds=50,
+            )
+        counters = session.metrics.snapshot()["counters"]
+        assert counters["distributed.decisions"] == result.rounds * 4
+
+
+class TestDecideMatchesPerOptionRebuild:
+    def test_random_states(self):
+        rng = random.Random(157)
+        seen = dict.fromkeys(
+            ("unserved", "budget_excluded", "unheard_current", "non_legacy"),
+            False,
+        )
+        for index in range(40):
+            p = random_problem(
+                rng,
+                n_users=rng.randint(1, 14),
+                budget=rng.choice([math.inf, 0.2, 0.5]),
+                ensure_coverage=index % 4 != 0,
+            )
+            if index % 2:
+                p = random_policies(rng, p)
+                seen["non_legacy"] |= any(
+                    policy != "legacy" for policy in p.session_policies
+                )
+            state = AssociationState(
+                p, random_initial(rng, p, rng.choice(("partial", "full")))
+            )
+            for step in range(3 * p.n_users):
+                user = step % p.n_users
+                current = state.ap_of_user[user]
+                neighbors = p.aps_of_user(user)
+                seen["unserved"] |= current is None and bool(neighbors)
+                seen["unheard_current"] |= (
+                    current is not None and bool(neighbors)
+                    and current not in neighbors
+                )
+                seen["budget_excluded"] |= any(
+                    state.load_if_joined(user, ap) > p.budget_of(ap) + 1e-12
+                    for ap in neighbors
+                    if ap != current
+                )
+                for policy in ("mnu", "mla", "bla"):
+                    for enforce in (None, not (policy == "mnu")):
+                        got = decide(state, user, policy, enforce_budgets=enforce)
+                        want = reference_decide(
+                            state, user, policy, enforce_budgets=enforce
+                        )
+                        assert (got.target, got.improves) == want, (
+                            index, step, policy, enforce
+                        )
+                # walk the state forward so later steps see other maps
+                state.move(user, decide(state, user, rng.choice(("mnu", "bla"))).target)
+        assert all(seen.values()), seen
