@@ -215,9 +215,9 @@ def _reference_prober(
 
 def _lower_bound(problem: MulticastAssociationProblem) -> float:
     """``max_u min_a cost(a, u)`` — bit-identical to
-    :func:`_reference_lower_bound` (pure comparisons over identically
-    computed quotients)."""
-    rates = problem.link_rates
+    :func:`_reference_lower_bound`: division by a positive rate is
+    monotone, so each user's cheapest cost is its stream rate over its
+    best link rate, without an ``n_aps × n_users`` cost matrix."""
     stream = np.asarray(
         [
             problem.session_rate(problem.session_of(u))
@@ -225,8 +225,8 @@ def _lower_bound(problem: MulticastAssociationProblem) -> float:
         ]
     )
     with np.errstate(divide="ignore"):
-        costs = np.where(rates > 0, stream[np.newaxis, :] / rates, np.inf)
-    return float(costs.min(axis=0).max())
+        costs = stream / problem.link_rates.max(axis=0)
+    return float(costs.max())
 
 
 def _reference_lower_bound(problem: MulticastAssociationProblem) -> float:

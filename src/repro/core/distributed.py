@@ -20,9 +20,10 @@ hashing.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Any, Literal, Sequence
 
 from repro.core import instrument
 from repro.core.assignment import Assignment
@@ -30,6 +31,13 @@ from repro.core.ledger import LoadLedger
 from repro.core.problem import MulticastAssociationProblem
 
 Policy = Literal["mnu", "mla", "bla"]
+
+#: One join option in a user's view: (AP, slot in the view's loads, the
+#: AP's load if the user joined, the user's link rate to it).
+JoinOption = tuple[int, int, float, float]
+
+#: The tolerance of the strict-improvement and budget checks.
+EPSILON = 1e-12
 
 # The protocol's mutable association state *is* the load ledger: users'
 # local decisions are gain queries (``load_if_joined`` / ``load_if_left``)
@@ -54,10 +62,11 @@ def decide(
     policy: Policy,
     *,
     enforce_budgets: bool | None = None,
-    epsilon: float = 1e-12,
+    epsilon: float = EPSILON,
 ) -> Decision:
     """The user's local decision from the current (queried) state.
 
+    Reads the user's view off the ledger and hands it to :func:`choose`.
     ``enforce_budgets`` defaults to True for the MNU policy and False for
     MLA/BLA, matching the paper's settings.
     """
@@ -71,12 +80,11 @@ def decide(
 
     # The neighbouring loads are read once. Moving to an option changes at
     # most two of them, the current AP's (``load_if_left``) and the
-    # target's (``load_if_joined``), so each option's list is the base
-    # list with those two entries substituted in place: the same queries
-    # in the same positions, hence the same sums and sorted vectors.
-    base = [state.load_of(ap) for ap in neighbors]
-    # option -> (its slot in ``neighbors``, its load if the user joined)
-    joined: dict[int, tuple[int, float]] = {}
+    # target's (``load_if_joined``), so :func:`choose` substitutes those
+    # two entries in place: the same queries in the same positions, hence
+    # the same sums and sorted vectors as a full rebuild.
+    loads = [state.load_of(ap) for ap in neighbors]
+    options: list[JoinOption] = []
     current_slot: int | None = None
     for slot, ap in enumerate(neighbors):
         if ap == current:
@@ -85,59 +93,71 @@ def decide(
         load = state.load_if_joined(user, ap)
         if enforce_budgets and load > problem.budget_of(ap) + epsilon:
             continue
-        joined[ap] = (slot, load)
-    if joined and current_slot is not None:
-        left = state.load_if_left(user)
+        options.append((ap, slot, load, problem.link_rate(ap, user)))
+    leaving = (
+        (current_slot, state.load_if_left(user))
+        if options and current_slot is not None
+        else None
+    )
+    target = choose(policy, loads, options, current, leaving, epsilon=epsilon)
+    return Decision(user=user, target=target, improves=target != current)
 
-    def loads_after(target: int | None) -> list[float]:
-        if target == current or target is None:
-            return base
-        loads = base.copy()
-        if current_slot is not None:
-            loads[current_slot] = left
-        slot, load = joined[target]
-        loads[slot] = load
-        return loads
 
-    keys: dict[int | None, tuple] = {}
+def choose(
+    policy: Policy,
+    loads: Sequence[float],
+    options: Sequence[JoinOption],
+    current: int | None,
+    leaving: tuple[int, float] | None,
+    *,
+    epsilon: float = EPSILON,
+) -> int | None:
+    """The distributed rule on one user's view; returns the AP to be on.
 
-    def score(target: int | None) -> tuple:
-        key = keys.get(target)
-        if key is not None:
-            return key
-        loads = loads_after(target)
-        # MNU/MLA compare the total, BLA the sorted non-increasing vector
-        # (footnote 5). Tie-breaks: stronger signal first (higher link
-        # rate), then lower AP index; staying unserved ranks last.
-        metric = (
-            sum(loads)
-            if policy in ("mnu", "mla")
-            else tuple(sorted(loads, reverse=True))
-        )
-        if target is None:
-            key = (metric, 0.0, problem.n_aps)
-        else:
-            key = (metric, -problem.link_rate(target, user), target)
-        keys[target] = key
-        return key
+    ``loads`` are the loads of the APs the user hears. Each option is
+    ``(ap, slot, load if joined, link rate)``, ``slot`` indexing
+    ``loads``. ``current`` is the user's AP (``None`` = unserved);
+    ``leaving`` is its ``(slot, load once the user leaves)`` when the user
+    hears it, else ``None`` (it may also be ``None`` when there is no
+    option). Moving to an option changes at most those two entries.
 
+    MNU/MLA compare the total of the loads after the move, BLA their
+    sorted non-increasing vector (footnote 5); ties go to the stronger
+    signal (higher link rate), then the lower AP index. An unserved user
+    takes the best option, if any. A served user stays unless the best
+    of staying and every option is an option that improves the metric by
+    more than ``epsilon`` (Lemmas 1 and 2).
+    """
+
+    def metric(after: Sequence[float]) -> Any:  # a sum or a sorted vector
+        if policy in ("mnu", "mla"):
+            return sum(after)
+        return tuple(sorted(after, reverse=True))
+
+    def key(option: JoinOption) -> tuple:
+        ap, slot, joined, rate = option
+        after = list(loads)
+        if leaving is not None:
+            after[leaving[0]] = leaving[1]
+        after[slot] = joined
+        return (metric(after), -rate, ap)
+
+    keys = [key(option) for option in options]
     if current is None:
-        # An unserved user always takes a feasible AP when one exists.
-        best = min(joined, key=score, default=None)
-        return Decision(user=user, target=best, improves=best is not None)
-    best = min([current, *joined], key=score)
+        best = min(keys, default=None)
+        return None if best is None else best[2]
+    # The best of staying and every option in exact order, so a move that
+    # is better only within ``epsilon`` but worse exactly is not taken.
+    # Staying wins an exact tie of the metric, which is no improvement.
+    stay = metric(loads)
+    best_metric, _, best = min([(stay, -math.inf, current), *keys])
     if best == current:
-        return Decision(user=user, target=current, improves=False)
-    # Strict-improvement rule: only move when the metric genuinely drops.
-    current_key = score(current)
-    best_key = score(best)
+        return current
     if policy in ("mnu", "mla"):
-        improved = best_key[0] < current_key[0] - epsilon
+        improved = best_metric < stay - epsilon
     else:
-        improved = _vector_less(best_key[0], current_key[0], epsilon)
-    if not improved:
-        return Decision(user=user, target=current, improves=False)
-    return Decision(user=user, target=best, improves=True)
+        improved = _vector_less(best_metric, stay, epsilon)
+    return best if improved else current
 
 
 def _vector_less(a: tuple[float, ...], b: tuple[float, ...], eps: float) -> bool:

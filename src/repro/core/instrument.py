@@ -77,11 +77,6 @@ def install_backend(
     return previous
 
 
-def installed_backend() -> InstrumentationBackend | None:
-    """The currently installed backend, or ``None``."""
-    return _backend
-
-
 def enabled() -> bool:
     """True when metric writes are recorded (backend present and live).
 

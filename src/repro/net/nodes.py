@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
+from repro.core.distributed import Policy
 from repro.core.ledger import local_ap_load, multicast_airtime
 from repro.core.problem import Session
 from repro.net.events import Simulator
@@ -34,7 +35,7 @@ from repro.net.messages import (
     ScanReport,
     SessionInfo,
 )
-from repro.net.policy import NeighborInfo, Policy, decide_local
+from repro.net.policy import NeighborInfo, decide_local
 from repro.net.trace import Trace
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel

@@ -1,23 +1,24 @@
 """Local association decisions from *reported* neighbor information.
 
-``repro.core.distributed.decide`` works on a global association state; in
-the message-passing simulator a station only knows what its neighboring APs
-told it (LoadReports) plus its own link measurements. :func:`decide_local`
-re-implements the same decision rules on that local view. Given truthful
-reports the two functions agree exactly — an invariant the integration
-tests assert.
+In the message-passing simulator a station knows only what its
+neighboring APs told it (LoadReports) plus its own link measurements.
+:func:`decide_local` turns that into the view of
+:func:`repro.core.distributed.choose` — the loads it heard, its join
+options priced by :func:`load_if_joined`, and its current AP's load
+without it — and feeds it into core's rule, the one that
+:func:`repro.core.distributed.decide` applies to the ledger. Given truthful
+reports the two decide alike, an invariant the tests assert.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from typing import Mapping
 
+from repro.core.distributed import EPSILON, JoinOption, Policy, choose
+from repro.core.ledger import multicast_airtime
 from repro.net.messages import SessionInfo
-
-Policy = Literal["mnu", "mla", "bla"]
-_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,13 +38,12 @@ def load_if_joined(
 ) -> float:
     """The AP's load if this station joined it for ``session``."""
     existing = info.sessions.get(session)
-    new_rate = (
-        min(existing.tx_rate_mbps, info.link_rate_mbps)
-        if existing
-        else info.link_rate_mbps
+    members = [existing.tx_rate_mbps] if existing else []
+    old = multicast_airtime(stream_rate_mbps, members) if members else 0.0
+    new = multicast_airtime(
+        stream_rate_mbps, [*members, info.link_rate_mbps]
     )
-    old_cost = stream_rate_mbps / existing.tx_rate_mbps if existing else 0.0
-    return info.load - old_cost + stream_rate_mbps / new_rate
+    return info.load - old + new
 
 
 def decide_local(
@@ -55,83 +55,28 @@ def decide_local(
     *,
     enforce_budgets: bool | None = None,
 ) -> int | None:
-    """The locally-best AP id, or ``None`` when no AP is joinable.
+    """The AP that core's rule picks from these reports; ``None`` when
+    the station decides as unassociated and no AP is joinable.
 
-    Mirrors the paper's distributed rules: MNU/MLA minimize the total load
-    of the neighboring APs after the move; BLA minimizes the sorted
-    non-increasing load vector. Ties break toward the stronger signal
-    (higher link rate), then the lower AP id. A currently-associated station
-    only moves on strict improvement.
+    A station whose current AP did not report decides as unassociated;
+    with no reports at all it keeps ``current_ap``.
     """
     if enforce_budgets is None:
         enforce_budgets = policy == "mnu"
     if not neighbors:
         return current_ap
-
-    by_id = {n.ap_id: n for n in neighbors}
-    current_info = by_id.get(current_ap) if current_ap is not None else None
-
-    def neighbor_loads_after(target: int | None) -> list[float]:
-        loads = []
-        for info in neighbors:
-            if info.ap_id == target and info.ap_id == current_ap:
-                loads.append(info.load)
-            elif info.ap_id == target:
-                loads.append(load_if_joined(info, session, stream_rate_mbps))
-            elif info.ap_id == current_ap:
-                left = (
-                    info.load_without_me
-                    if info.load_without_me is not None
-                    else info.load
-                )
-                loads.append(left)
-            else:
-                loads.append(info.load)
-        return loads
-
-    options: list[int] = []
-    for info in neighbors:
+    current: int | None = None
+    leaving: tuple[int, float] | None = None
+    options: list[JoinOption] = []
+    for slot, info in enumerate(neighbors):
         if info.ap_id == current_ap:
+            current = current_ap
+            left = info.load_without_me
+            leaving = (slot, info.load if left is None else left)
             continue
-        if enforce_budgets:
-            if load_if_joined(info, session, stream_rate_mbps) > info.budget + _EPS:
-                continue
-        options.append(info.ap_id)
-
-    def score(target: int) -> tuple:
-        loads = neighbor_loads_after(target)
-        if policy in ("mnu", "mla"):
-            metric: tuple = (sum(loads),)
-        else:
-            metric = (tuple(sorted(loads, reverse=True)),)
-        return metric + (-by_id[target].link_rate_mbps, target)
-
-    if current_ap is None or current_info is None:
-        # Unassociated (or current AP fell out of range): take the best
-        # feasible neighbor, if any.
-        if not options:
-            return None
-        return min(options, key=score)
-
-    best = min(options, key=score) if options else current_ap
-    if best == current_ap:
-        return current_ap
-    stay_loads = neighbor_loads_after(current_ap)
-    best_loads = neighbor_loads_after(best)
-    if policy in ("mnu", "mla"):
-        improved = sum(best_loads) < sum(stay_loads) - _EPS
-    else:
-        improved = _vector_less(
-            tuple(sorted(best_loads, reverse=True)),
-            tuple(sorted(stay_loads, reverse=True)),
-        )
-    return best if improved else current_ap
-
-
-def _vector_less(a: tuple[float, ...], b: tuple[float, ...]) -> bool:
-    for x, y in zip(a, b, strict=True):
-        if x < y - _EPS:
-            return True
-        if x > y + _EPS:
-            return False
-    return False
+        load = load_if_joined(info, session, stream_rate_mbps)
+        if enforce_budgets and load > info.budget + EPSILON:
+            continue
+        options.append((info.ap_id, slot, load, info.link_rate_mbps))
+    loads = [info.load for info in neighbors]
+    return choose(policy, loads, options, current, leaving)

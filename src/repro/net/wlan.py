@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from typing import Any, Literal
 
 from repro.core.assignment import Assignment
+from repro.core.distributed import Policy
 from repro.core.problem import MulticastAssociationProblem
 from repro.net.events import Simulator
 from repro.net.mac import IDEAL_MAC, AirtimeMeter, MacParameters
 from repro.net.nodes import AccessPoint, Medium, UserStation
-from repro.net.policy import Policy
 from repro.net.trace import Trace
 from repro.scenarios.generator import Scenario
 

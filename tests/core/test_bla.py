@@ -6,7 +6,12 @@ import random
 
 import pytest
 
-from repro.core.bla import max_iterations, solve_bla
+from repro.core.bla import (
+    _lower_bound,
+    _reference_lower_bound,
+    max_iterations,
+    solve_bla,
+)
 from repro.core.errors import CoverageError
 from repro.core.optimal import solve_bla_optimal
 from repro.core.problem import MulticastAssociationProblem, Session
@@ -77,6 +82,35 @@ class TestQuality:
             p = random_problem(rng)
             lower = max(p.min_cost_of_user(u) for u in range(p.n_users))
             assert solve_bla(p).max_load >= lower - 1e-9
+
+    def test_vector_lower_bound_matches_reference(self):
+        """``stream / best rate`` is each user's exact cheapest cost."""
+        rng = random.Random(107)
+        for _ in range(40):
+            n_aps, n_users = rng.randint(1, 8), rng.randint(1, 30)
+            link = [
+                [
+                    rng.choice((0.0, 0.0, 1.0, 5.5, 11.0, 54.0))
+                    * rng.uniform(0.5, 1.5)
+                    for _ in range(n_users)
+                ]
+                for _ in range(n_aps)
+            ]
+            for u in range(n_users):
+                if not any(link[a][u] for a in range(n_aps)):
+                    link[rng.randrange(n_aps)][u] = rng.uniform(0.1, 60.0)
+            sessions = [
+                Session(i, rng.uniform(0.05, 3.0))
+                for i in range(rng.randint(1, 4))
+            ]
+            p = MulticastAssociationProblem(
+                link,
+                [rng.randrange(len(sessions)) for _ in range(n_users)],
+                sessions,
+            )
+            assert (
+                _lower_bound(p).hex() == _reference_lower_bound(p).hex()
+            )
 
     def test_local_search_never_hurts(self):
         rng = random.Random(101)
