@@ -21,13 +21,15 @@ augmentation, churn repair) an exact starting point via
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core.candidates import CandidateFamily, CandidateSet
 from repro.core.errors import InfeasibleAssignmentError, ModelError
 from repro.core.ledger import LoadLedger
 from repro.core.problem import MulticastAssociationProblem
+from repro.vec import backend
 
 UNSERVED = None
 
@@ -64,6 +66,20 @@ class Assignment:
         self._ledger: LoadLedger | None = None
 
     # -- construction --------------------------------------------------------
+
+    @classmethod
+    def _of(
+        cls,
+        problem: MulticastAssociationProblem,
+        ap_of_user: tuple[int | None, ...],
+    ) -> "Assignment":
+        """An assignment over a map its producer already normalized and
+        range-checked in bulk (no per-user pass)."""
+        assignment = cls.__new__(cls)
+        assignment._problem = problem
+        assignment._map = ap_of_user
+        assignment._ledger = None
+        return assignment
 
     @classmethod
     def empty(cls, problem: MulticastAssociationProblem) -> "Assignment":
@@ -202,37 +218,82 @@ class Assignment:
 
 def from_selected_sets(
     problem: MulticastAssociationProblem,
-    selections: Iterable[tuple[int, int, float, Iterable[int]]],
+    family: CandidateFamily,
+    chosen: Sequence[int] | np.ndarray,
 ) -> Assignment:
-    """Assignment from reduction output: ``(ap, session, tx_rate, users)``.
+    """Assignment from reduction output: candidates ``chosen`` of ``family``.
 
     Each selected candidate set directs its users to associate with its AP.
     When several selected sets contain the same user, the cheapest one (the
-    one with the highest transmit rate for the user's link) wins; this only
-    lowers loads. Transmit rates are re-derived from the final association,
-    so merging same-(AP, session) selections down to the minimum rate — the
-    repair step in DESIGN.md §6 — happens automatically.
+    one with the highest transmit rate for the user's link) wins, and of
+    equally fast ones the first selected; this only lowers loads. Transmit
+    rates are re-derived from the final association, so merging
+    same-(AP, session) selections down to the minimum rate — the repair
+    step in DESIGN.md §6 — happens automatically.
 
-    Users of each selection are processed in ascending order, so a
-    validation error always names the same user.
+    The (selection, user) pairs are checked in selection order, users
+    ascending within a selection, and the first pair whose user requests
+    another session or cannot decode the set's rate raises
+    :class:`ModelError`, so an error always names the same user. Holders
+    of :class:`~repro.core.candidates.CandidateSet` lists flatten them
+    with :func:`from_candidate_sets`.
     """
-    ap_of_user: list[int | None] = [None] * problem.n_users
-    best_rate: list[float] = [-1.0] * problem.n_users
-    for ap, session, tx_rate, users in selections:
-        for user in sorted(users):
-            if problem.session_of(user) != session:
-                raise ModelError(
-                    f"user {user} does not request session {session}"
-                )
-            link = problem.link_rate(ap, user)
-            if link < tx_rate:
-                raise ModelError(
-                    f"user {user} cannot decode AP {ap} at {tx_rate} Mbps"
-                )
-            if link > best_rate[user]:
-                best_rate[user] = link
-                ap_of_user[user] = ap
-    return Assignment(problem, ap_of_user)
+    picks = np.asarray(chosen, dtype=np.int64)
+    offsets = backend.as_int64(family.offsets)
+    users = backend.gather_segments(
+        offsets, backend.as_int64(family.members), picks
+    )
+    pick = np.repeat(picks, offsets[picks + 1] - offsets[picks])
+    aps = backend.as_int64(family.ap)[pick]
+    # A negative AP indexes from the last row, as the scalar
+    # ``link_rate`` did; it is rejected as unknown once it wins a user.
+    link = problem.link_rates[aps, users]
+    wrong_session = (
+        problem.session_index[users] != backend.as_int64(family.session)[pick]
+    )
+    bad = wrong_session | (link < backend.as_float64(family.tx_rate)[pick])
+    if bad.any():
+        first = int(bad.argmax())
+        user, k = int(users[first]), int(pick[first])
+        if wrong_session[first]:
+            raise ModelError(
+                f"user {user} does not request session {family.session[k]}"
+            )
+        raise ModelError(
+            f"user {user} cannot decode AP {family.ap[k]} "
+            f"at {family.tx_rate[k]} Mbps"
+        )
+    # By user, fastest link first; the stable sort keeps selection order
+    # among equal links, so each user's first pair is the first strict max.
+    order = backend.lexsort_by_key(-link, users, problem.n_users)
+    users = users[order]
+    first_of_user = np.ones(users.size, dtype=bool)
+    first_of_user[1:] = users[1:] != users[:-1]
+    served = users[first_of_user]
+    won = aps[order[first_of_user]]
+    unknown = (won < 0) | (won >= problem.n_aps)
+    if unknown.any():
+        first = int(unknown.argmax())
+        raise ModelError(
+            f"user {served[first]} assigned to unknown AP {won[first]}"
+        )
+    held = np.full(problem.n_users, -1, dtype=np.int64)
+    held[served] = won
+    ap_of_user: list[int | None] = held.tolist()
+    for user in np.flatnonzero(held < 0).tolist():
+        ap_of_user[user] = None
+    return Assignment._of(problem, tuple(ap_of_user))
+
+
+def from_candidate_sets(
+    problem: MulticastAssociationProblem, selected: Sequence[CandidateSet]
+) -> Assignment:
+    """:func:`from_selected_sets` over a list of selected candidate sets,
+    flattened in order."""
+    family = CandidateFamily.from_candidates(
+        selected, n_users=problem.n_users, n_aps=problem.n_aps
+    )
+    return from_selected_sets(problem, family, range(len(selected)))
 
 
 def compare_load_vectors(

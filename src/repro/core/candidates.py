@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -205,28 +206,16 @@ class CandidateFamily:
         n_aps: int,
     ) -> "CandidateFamily":
         """Flatten a scalar candidate list (order preserved, members sorted)."""
-        ap = array("q", (c.ap for c in candidates))
-        session = array("q", (c.session for c in candidates))
-        tx_rate = array("d", (c.tx_rate for c in candidates))
-        cost = array("d", (c.cost for c in candidates))
-        offsets = array("q", [0] * (len(candidates) + 1))
-        members = array("q")
-        total = 0
-        for k, candidate in enumerate(candidates):
-            offsets[k] = total
-            ordered = sorted(candidate.users)
-            members.extend(ordered)
-            total += len(ordered)
-        offsets[len(candidates)] = total
+        ordered = [sorted(c.users) for c in candidates]
         return cls(
             n_users=n_users,
             n_aps=n_aps,
-            ap=ap,
-            session=session,
-            tx_rate=tx_rate,
-            cost=cost,
-            offsets=offsets,
-            members=members,
+            ap=array("q", [c.ap for c in candidates]),
+            session=array("q", [c.session for c in candidates]),
+            tx_rate=array("d", [c.tx_rate for c in candidates]),
+            cost=array("d", [c.cost for c in candidates]),
+            offsets=array("q", accumulate(map(len, ordered), initial=0)),
+            members=array("q", chain.from_iterable(ordered)),
         )
 
 
@@ -293,14 +282,15 @@ def build_family(problem: MulticastAssociationProblem) -> CandidateFamily:
     """
     rates = problem.link_rates
     n_sessions = problem.n_sessions
-    user_sessions = np.asarray(problem.user_sessions, dtype=np.int64)
     in_range = np.flatnonzero(rates > 0)  # (AP, user) ascending
     link_ap, link_user = np.divmod(in_range, max(problem.n_users, 1))
-    link_group = link_ap * n_sessions + user_sessions[link_user]
+    link_group = link_ap * n_sessions + problem.session_index[link_user]
     link_rate = np.take(rates, in_range)
 
     # Candidates: the distinct (group, rate) pairs, ascending.
-    by_rate = np.lexsort((link_rate, link_group))
+    by_rate = backend.lexsort_by_key(
+        link_rate, link_group, problem.n_aps * n_sessions
+    )
     sorted_group = link_group[by_rate]
     sorted_rate = link_rate[by_rate]
     fresh = np.ones(sorted_group.size, dtype=bool)
@@ -328,7 +318,7 @@ def build_family(problem: MulticastAssociationProblem) -> CandidateFamily:
         int(spans.sum()), dtype=np.int64
     )
     members = np.repeat(link_user, spans)[
-        np.argsort(pair_cand, kind="stable")
+        backend.stable_argsort(pair_cand, n_cand)
     ]
     offsets = np.zeros(n_cand + 1, dtype=np.int64)
     np.cumsum(np.bincount(pair_cand, minlength=n_cand), out=offsets[1:])

@@ -63,6 +63,7 @@ from repro.core.problem import (
     TX_LEGACY,
     MulticastAssociationProblem,
 )
+from repro.vec import backend
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.core.assignment import Assignment
@@ -260,7 +261,8 @@ class LoadLedger:
     The single non-oracle implementation of the paper's load model: every
     solver, protocol loop, and metric reads (and, for the mutable paths,
     writes) loads through one of these. Construction from an existing
-    ``user -> AP | None`` map is O(n log m); every mutation and gain query
+    ``user -> AP | None`` map is one bulk pass (a lexsort of the served
+    users, then one Python step per group); every mutation and gain query
     is O(k + log m) where ``k`` is the number of sessions the touched AP
     transmits and ``m`` the group size — independent of the user count.
     """
@@ -311,24 +313,79 @@ class LoadLedger:
         self.op_load_recomputes = 0
         self.op_policy_costs: dict[str, int] = {}
 
-        touched: set[int] = set()
-        for user, ap in enumerate(self._map):
-            if ap is None:
-                continue
-            if not 0 <= ap < problem.n_aps:
-                raise ModelError(f"user {user} assigned to unknown AP {ap}")
-            self._group_for(ap, problem.session_of(user)).add(
-                user, problem.link_rate(ap, user)
-            )
-            touched.add(ap)
-        for (ap, session), group in self._groups.items():
-            self._session_costs[ap][session] = self._cost_of(session, group)
-        for ap in touched:
-            self._refresh_load(ap)
+        if initial is not None:
+            for ap in self._build_groups():
+                self._refresh_load(ap)
         if self._check:
             self.verify_against_recompute()
 
     # -- internals -------------------------------------------------------
+
+    def _build_groups(self) -> set[int]:
+        """Group the initial map's served users in bulk and price each
+        group; return the APs that serve anyone.
+
+        One lexsort by (AP, session, link rate) lays every group out as a
+        run of members with its rates ascending, so each group's distinct
+        rates and their counts are runs too. Groups are inserted in the
+        order of their lowest member, the order a per-user walk over the
+        map creates them, and priced through :meth:`_cost_of`. An unknown
+        AP raises for the lowest user holding one.
+        """
+        problem = self._problem
+        held = np.array(self._map, dtype=np.float64)  # None -> nan
+        users = np.flatnonzero(held == held)  # served: not NaN
+        if not users.size:
+            return set()
+        held = held[users]
+        if held.min() < 0 or held.max() >= problem.n_aps:
+            unknown = (held < 0) | (held >= problem.n_aps)
+            user = int(users[unknown.argmax()])
+            raise ModelError(
+                f"user {user} assigned to unknown AP {self._map[user]}"
+            )
+        aps = held.astype(np.int64)
+        n_sessions = problem.n_sessions
+        key = aps * n_sessions + problem.session_index[users]
+        rates = problem.link_rates[aps, users]
+        order = backend.lexsort_by_key(rates, key, problem.n_aps * n_sessions)
+        key = key[order]
+        rates = rates[order]
+        users = users[order]
+        # Runs: a group starts where the key changes, a rate run where
+        # the key or the rate does, so every group start is a rate start.
+        # Both edge lists end with the member count.
+        n = key.size
+        new_group = np.ones(n + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new_group[1:n])
+        new_rate = new_group.copy()
+        new_rate[1:n] |= rates[1:] != rates[:-1]
+        group_edges = np.flatnonzero(new_group)
+        rate_edges = np.flatnonzero(new_rate)
+        group_start = group_edges[:-1]
+        bounds = group_edges.tolist()
+        # Group g's (rate, count) runs are rate_counts[rate_lo[g]:rate_lo[g + 1]].
+        rate_lo = np.searchsorted(rate_edges, group_edges).tolist()
+        rate_counts = list(
+            zip(
+                rates[rate_edges[:-1]].tolist(),
+                np.subtract(rate_edges[1:], rate_edges[:-1]).tolist(),
+            )
+        )
+        members = users.tolist()
+        group_ap, group_session = np.divmod(key[group_start], n_sessions)
+        ap_list = group_ap.tolist()
+        keys = list(zip(ap_list, group_session.tolist()))
+        new, groups, costs = _RateGroup.__new__, self._groups, self._session_costs
+        for g in np.argsort(np.minimum.reduceat(users, group_start)).tolist():
+            group = new(_RateGroup)
+            group.members = set(members[bounds[g] : bounds[g + 1]])
+            group.counts = dict(rate_counts[rate_lo[g] : rate_lo[g + 1]])
+            group.rates = list(group.counts)  # runs come in rate order
+            groups[keys[g]] = group
+            ap, session = keys[g]
+            costs[ap][session] = self._cost_of(session, group)
+        return set(ap_list)
 
     def _group_for(self, ap: int, session: int) -> _RateGroup:
         group = self._groups.get((ap, session))

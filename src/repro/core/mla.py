@@ -14,14 +14,30 @@ from typing import Callable
 
 from repro.core import instrument
 from repro.core.assignment import Assignment, from_selected_sets
-from repro.core.candidates import build_candidates, build_family
+from repro.core.candidates import (
+    CandidateFamily,
+    CandidateSet,
+    build_candidates,
+    build_family,
+)
 from repro.core.errors import CoverageError
 from repro.core.problem import MulticastAssociationProblem
-from repro.core.setcover import (
-    SetCoverResult,
-    greedy_set_cover,
-    greedy_set_cover_flat,
-)
+from repro.core.setcover import greedy_set_cover, greedy_set_cover_flat
+
+
+@dataclass(frozen=True)
+class MlaCover:
+    """``CostSC``'s picks: candidate indices of ``family`` in greedy order,
+    and their summed (planned) cost."""
+
+    family: CandidateFamily
+    chosen: tuple[int, ...]
+    total_cost: float
+
+    @property
+    def selected(self) -> tuple[CandidateSet, ...]:
+        """The picks as classic :class:`CandidateSet` objects."""
+        return tuple(self.family.candidate(k) for k in self.chosen)
 
 
 @dataclass(frozen=True)
@@ -29,19 +45,19 @@ class MlaSolution:
     """An MLA assignment plus the set-cover trace."""
 
     assignment: Assignment
-    cover: SetCoverResult
+    cover: MlaCover
 
     @property
     def total_load(self) -> float:
         return self.assignment.total_load()
 
 
-def mla_cover(problem: MulticastAssociationProblem) -> SetCoverResult:
+def mla_cover(problem: MulticastAssociationProblem) -> MlaCover:
     """MLA's cover step: the Theorem-5 reduction solved by ``CostSC``.
 
     Raises :class:`CoverageError` for isolated users. The sharded
-    engine's workers stop here and ship the picks; the assignment is
-    materialized once, after stitching.
+    engine's workers stop here and materialize the picks straight from
+    the family's arrays.
     """
     return _cover(problem, _flat_cover)
 
@@ -67,25 +83,31 @@ def solve_mla_reference(problem: MulticastAssociationProblem) -> MlaSolution:
     return _materialize(problem, _cover(problem, _reference_cover))
 
 
-def _flat_cover(problem: MulticastAssociationProblem) -> SetCoverResult:
+def _flat_cover(problem: MulticastAssociationProblem) -> MlaCover:
     family = build_family(problem)
     chosen, total_cost = greedy_set_cover_flat(family)
-    return SetCoverResult(
-        selected=tuple(family.candidate(k) for k in chosen),
-        total_cost=total_cost,
-    )
+    return MlaCover(family=family, chosen=tuple(chosen), total_cost=total_cost)
 
 
-def _reference_cover(problem: MulticastAssociationProblem) -> SetCoverResult:
-    return greedy_set_cover(
+def _reference_cover(problem: MulticastAssociationProblem) -> MlaCover:
+    """The scalar cover, its picks flattened into a family of their own."""
+    cover = greedy_set_cover(
         build_candidates(problem), set(range(problem.n_users))
+    )
+    family = CandidateFamily.from_candidates(
+        cover.selected, n_users=problem.n_users, n_aps=problem.n_aps
+    )
+    return MlaCover(
+        family=family,
+        chosen=tuple(range(len(cover.selected))),
+        total_cost=cover.total_cost,
     )
 
 
 def _cover(
     problem: MulticastAssociationProblem,
-    run: Callable[[MulticastAssociationProblem], SetCoverResult],
-) -> SetCoverResult:
+    run: Callable[[MulticastAssociationProblem], MlaCover],
+) -> MlaCover:
     isolated = problem.isolated_users()
     if isolated:
         raise CoverageError(isolated)
@@ -95,17 +117,14 @@ def _cover(
         cover = run(problem)
     if instrument.enabled():
         instrument.incr("mla.solves")
-        instrument.incr("mla.cover_sets", len(cover.selected))
+        instrument.incr("mla.cover_sets", len(cover.chosen))
     return cover
 
 
 def _materialize(
-    problem: MulticastAssociationProblem, cover: SetCoverResult
+    problem: MulticastAssociationProblem, cover: MlaCover
 ) -> MlaSolution:
-    assignment = from_selected_sets(
-        problem,
-        ((c.ap, c.session, c.tx_rate, c.users) for c in cover.selected),
-    )
+    assignment = from_selected_sets(problem, cover.family, cover.chosen)
     assignment.validate(check_budgets=False)
     if instrument.enabled():
         instrument.gauge("mla.n_served", float(assignment.n_served))

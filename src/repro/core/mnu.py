@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.core import instrument
-from repro.core.assignment import Assignment, from_selected_sets
+from repro.core.assignment import Assignment, from_candidate_sets
 from repro.core.candidates import build_candidates, build_family
 from repro.core.mcg import McgResult, greedy_mcg, greedy_mcg_flat
 from repro.core.problem import MulticastAssociationProblem
@@ -153,10 +153,7 @@ def _solve(
         "mnu.solve", n_users=problem.n_users, n_aps=problem.n_aps
     ):
         result, n_candidates = run(problem, split)
-        assignment = from_selected_sets(
-            problem,
-            ((c.ap, c.session, c.tx_rate, c.users) for c in result.chosen),
-        )
+        assignment = from_candidate_sets(problem, result.chosen)
         if augment:
             assignment = augment_assignment(assignment)
         if split:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
 
-from repro.core.assignment import Assignment, from_selected_sets
+from repro.core.assignment import Assignment, from_candidate_sets
 from repro.core.candidates import CandidateSet, build_candidates
 from repro.core.errors import CoverageError, SolverError
 from repro.core.problem import MulticastAssociationProblem
@@ -129,9 +129,7 @@ def solve_mla_optimal(problem: MulticastAssociationProblem) -> OptimalSolution:
     constraints = [LinearConstraint(coverage, lb=1, ub=np.inf)]
     result = _milp(costs, constraints, np.ones(n), Bounds(0, 1), "MLA")
     selected = _selected_sets(candidates, result.x)
-    assignment = from_selected_sets(
-        problem, ((c.ap, c.session, c.tx_rate, c.users) for c in selected)
-    )
+    assignment = from_candidate_sets(problem, selected)
     assignment.validate(check_budgets=False)
     return OptimalSolution(
         assignment=assignment, objective=float(result.fun), selected=selected
@@ -171,9 +169,7 @@ def solve_bla_optimal(problem: MulticastAssociationProblem) -> OptimalSolution:
         objective, constraints, integrality, Bounds(lower, upper), "BLA"
     )
     selected = _selected_sets(candidates, result.x[:n])
-    assignment = from_selected_sets(
-        problem, ((c.ap, c.session, c.tx_rate, c.users) for c in selected)
-    )
+    assignment = from_candidate_sets(problem, selected)
     assignment.validate(check_budgets=False)
     return OptimalSolution(
         assignment=assignment, objective=float(result.fun), selected=selected

@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.errors import ModelError
 from repro.radio.geometry import Point
 from repro.radio.propagation import PropagationModel
+from repro.vec import backend
 
 #: Per-group transmission policies (the EmPOWER/SDN@Play model).
 #:
@@ -147,6 +148,8 @@ class MulticastAssociationProblem:
         self._rates = rates
         self._rates.setflags(write=False)
         session_index = requested.astype(np.int64)
+        session_index.setflags(write=False)
+        self._session_index = session_index
         self._user_sessions: tuple[int, ...] = tuple(session_index.tolist())
         self._sessions = tuple(sessions)
         self._budgets = budget_array
@@ -154,7 +157,9 @@ class MulticastAssociationProblem:
         self._policies = policy_tuple
         self._all_legacy = all(p == TX_LEGACY for p in policy_tuple)
         # users_of_session[s] = sorted tuple of users requesting session s
-        by_session = np.argsort(session_index, kind="stable").tolist()
+        by_session = backend.stable_argsort(
+            session_index, len(sessions)
+        ).tolist()
         bounds = np.cumsum(
             np.bincount(session_index, minlength=len(sessions))
         ).tolist()
@@ -162,6 +167,7 @@ class MulticastAssociationProblem:
             tuple(by_session[lo:hi])
             for lo, hi in zip([0, *bounds[:-1]], bounds, strict=True)
         )
+        self._user_aps: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -223,6 +229,11 @@ class MulticastAssociationProblem:
     def user_sessions(self) -> tuple[int, ...]:
         return self._user_sessions
 
+    @property
+    def session_index(self) -> np.ndarray:
+        """Read-only int64 array: the session each user requests."""
+        return self._session_index
+
     def session_rate(self, session: int) -> float:
         return self._sessions[session].rate_mbps
 
@@ -252,8 +263,24 @@ class MulticastAssociationProblem:
         return self._rates[ap, user] > 0
 
     def aps_of_user(self, user: int) -> list[int]:
-        """APs whose range covers ``user`` — its *neighboring APs*."""
-        return np.flatnonzero(self._rates[:, user] > 0).tolist()
+        """APs whose range covers ``user`` — its *neighboring APs*,
+        ascending.
+
+        Served from a user → AP CSR over the in-range links, built on the
+        first call (the instance is immutable, so it never goes stale).
+        """
+        if self._user_aps is None:
+            link_ap, link_user = np.nonzero(self._rates > 0)
+            offsets = np.zeros(self.n_users + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(link_user, minlength=self.n_users),
+                out=offsets[1:],
+            )
+            # (AP, user) order, stably re-sorted by user: APs ascending.
+            order = backend.stable_argsort(link_user, self.n_users)
+            self._user_aps = (offsets, link_ap[order])
+        offsets, aps = self._user_aps
+        return aps[offsets[user] : offsets[user + 1]].tolist()
 
     def users_of_ap(self, ap: int) -> list[int]:
         """Users within range of ``ap``."""

@@ -30,10 +30,12 @@ loads is bit-identical to :meth:`~repro.core.assignment.Assignment.
 total_load` of the stitched assignment, without building its ledger.
 
 Both workers speak one format: global ``(user, AP)`` pairs, materialized
-per shard with :func:`~repro.core.assignment.from_selected_sets`. That is
-exact for MNU's halves too: a user's AP depends only on the selected sets
-that contain it, which all lie in the user's shard, in the same order as
-in the monolithic selection. Shard results are plain tuples, so the
+per shard with :func:`~repro.core.assignment.from_selected_sets` — MLA
+straight from the picked indices of its candidate family, MNU's halves
+from their flattened candidate sets. That is exact for MNU's halves too:
+a user's AP depends only on the selected sets that contain it, which all
+lie in the user's shard, in the same order as in the monolithic
+selection. Shard results are plain tuples, so the
 engine's cache can hold them without keeping any solver state alive.
 """
 
@@ -42,8 +44,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from repro.core.assignment import Assignment, from_selected_sets
-from repro.core.candidates import CandidateSet
+from repro.core.assignment import (
+    Assignment,
+    from_candidate_sets,
+    from_selected_sets,
+)
 from repro.core.mla import mla_cover
 from repro.core.mnu import augment_assignment, solve_mnu
 from repro.core.problem import MulticastAssociationProblem
@@ -54,15 +59,6 @@ Pairs = tuple[tuple[int, int], ...]
 
 #: One shard's materialized MLA result: its pairs and the loads of its APs.
 MlaFragment = tuple[Pairs, tuple[float, ...]]
-
-
-def _materialize(
-    shard_problem: ShardProblem, selected: Iterable[CandidateSet]
-) -> Assignment:
-    return from_selected_sets(
-        shard_problem.problem,
-        ((c.ap, c.session, c.tx_rate, c.users) for c in selected),
-    )
 
 
 def _global_pairs(shard_problem: ShardProblem, assignment: Assignment) -> Pairs:
@@ -78,9 +74,10 @@ def mnu_shard_raw(shard_problem: ShardProblem) -> tuple[Pairs, Pairs]:
     The H1/H2 choice is deferred to the engine, which makes it globally —
     exactly as the monolithic greedy would.
     """
-    mcg = solve_mnu(shard_problem.problem, split=True, augment=False).mcg
-    within = _materialize(shard_problem, mcg.within_budget)
-    overshooting = _materialize(shard_problem, mcg.overshooting)
+    problem = shard_problem.problem
+    mcg = solve_mnu(problem, split=True, augment=False).mcg
+    within = from_candidate_sets(problem, mcg.within_budget)
+    overshooting = from_candidate_sets(problem, mcg.overshooting)
     return (
         _global_pairs(shard_problem, within),
         _global_pairs(shard_problem, overshooting),
@@ -94,8 +91,10 @@ def mla_shard_raw(shard_problem: ShardProblem) -> MlaFragment:
     :func:`~repro.core.mla.solve_mla` minus its ``mla.*`` gauges: the
     engine publishes one stitched objective, not per-shard ones.
     """
-    assignment = _materialize(
-        shard_problem, mla_cover(shard_problem.problem).selected
+    problem = shard_problem.problem
+    cover = mla_cover(problem)
+    assignment = from_selected_sets(
+        problem, cover.family, cover.chosen
     ).validate(check_budgets=False)
     return _global_pairs(shard_problem, assignment), tuple(assignment.loads())
 

@@ -59,15 +59,15 @@ def shard_fingerprint(
         raise ModelError(f"users {outside} are not in shard {shard.index}")
     digest = sha256()
     aps = list(shard.aps)
+    user_array = np.asarray(users, dtype=np.int64)
     digest.update(np.asarray(aps, dtype=np.int64).tobytes())
-    digest.update(np.asarray(users, dtype=np.int64).tobytes())
+    digest.update(user_array.tobytes())
     digest.update(shard.block_digest(problem))
     digest.update(
         np.ascontiguousarray(problem.budgets[aps], dtype=np.float64).tobytes()
     )
-    user_sessions = problem.user_sessions
-    sessions = [user_sessions[u] for u in users]
-    digest.update(np.asarray(sessions, dtype=np.int64).tobytes())
+    sessions = problem.session_index[user_array]
+    digest.update(sessions.tobytes())
     for session in problem.sessions:
         digest.update(
             f"{session.session_id}:{session.rate_mbps!r};".encode("ascii")
@@ -79,7 +79,7 @@ def shard_fingerprint(
     # ``set-policy`` event re-fingerprints only the shards whose users
     # stream the session it touched.
     if not problem.all_legacy:
-        for session_index in sorted(set(sessions)):
+        for session_index in np.unique(sessions).tolist():
             policy = problem.policy_of(session_index)
             if policy != TX_LEGACY:
                 digest.update(

@@ -120,15 +120,22 @@ class Shard:
 
         Keeps every session (ids stay stable), slices the rate matrix with
         sorted index vectors (orders stay stable), and carries the per-AP
-        budgets and per-session transmission policies over verbatim.
+        budgets and per-session transmission policies over verbatim. A
+        shard holding every AP slices the user axis only.
         """
         users = self.active_users(active)
-        rates = problem.link_rates[np.ix_(self.aps, users)]
+        columns = np.asarray(users, dtype=np.int64)
+        if len(self.aps) == problem.n_aps:  # sorted, distinct: all APs
+            rates = np.take(problem.link_rates, columns, axis=1)
+            budgets = problem.budgets
+        else:
+            rates = problem.link_rates[np.ix_(self.aps, columns)]
+            budgets = problem.budgets[list(self.aps)]
         sub = MulticastAssociationProblem(
             rates,
-            [problem.session_of(u) for u in users],
+            problem.session_index[columns],
             problem.sessions,
-            problem.budgets[list(self.aps)],
+            budgets,
             problem.session_policies,
         )
         return ShardProblem(problem=sub, users=users, aps=self.aps)

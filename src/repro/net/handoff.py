@@ -135,6 +135,7 @@ def analyze_handoffs(
         handoffs = 0
         longest_outage = 0.0
         current: int | None = None
+        last_ap: int | None = None  # the AP most recently joined
         last_time = 0.0
         outage_start = 0.0
         for time, old, new in events:
@@ -142,15 +143,16 @@ def analyze_handoffs(
                 associated += time - last_time
             else:
                 longest_outage = max(longest_outage, time - outage_start)
-            if old is not None and new is not None and old != new:
-                handoffs += 1
-            elif current is not None and new is not None:
-                # the log says old->new, but replay counts transitions from
-                # an associated state as handoffs too (covers re-joins after
-                # a break-before-make gap shorter than one event)
-                pass
             if new is None:
                 outage_start = time
+            else:
+                # A join at another AP than the last one is a handoff,
+                # whether it follows directly (old -> new) or after a
+                # break-before-make gap (old -> None, then None -> new).
+                previous = old if old is not None else last_ap
+                if previous is not None and previous != new:
+                    handoffs += 1
+                last_ap = new
             current = new
             last_time = time
         if current is not None:

@@ -351,7 +351,10 @@ class UserStation(Node):
         self.on_association_change = on_association_change
 
         self.current_ap: int | None = None
+        #: Re-associations at an AP other than the last one joined; the
+        #: break-before-make gap between them does not hide the move.
         self.handoffs = 0
+        self._last_ap: int | None = None
         self.bytes_received = 0.0
         self.bursts_received = 0
         self._heard_aps: dict[int, float] = {}
@@ -494,8 +497,10 @@ class UserStation(Node):
         if old == new_ap:
             return
         self.current_ap = new_ap
-        if old is not None and new_ap is not None:
-            self.handoffs += 1
+        if new_ap is not None:
+            if self._last_ap is not None and self._last_ap != new_ap:
+                self.handoffs += 1
+            self._last_ap = new_ap
         if self.on_association_change is not None:
             self.on_association_change(
                 self.node_id, old, new_ap, self.medium.sim.now

@@ -80,6 +80,35 @@ def gather_segments(
     return data[shift + np.arange(total, dtype=np.int64)]
 
 
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in ``[0, bound)``.
+
+    Keys are narrowed to ``uint8``/``uint16`` so numpy takes its radix
+    sort; up to ``2**32`` it runs two LSD passes, the low 16 bits first,
+    then the high 16 bits of the keys in that order. A stable sort's
+    permutation is unique, so the result equals the comparison sort's.
+    """
+    if bound <= 1 << 8:
+        return np.argsort(keys.astype(np.uint8), kind="stable")
+    if bound <= 1 << 16:
+        return np.argsort(keys.astype(np.uint16), kind="stable")
+    if bound > 1 << 32:
+        return np.argsort(keys, kind="stable")
+    low = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    high = (keys[low] >> 16).astype(np.uint16)
+    return low[np.argsort(high, kind="stable")]
+
+
+def lexsort_by_key(
+    values: np.ndarray, keys: np.ndarray, bound: int
+) -> np.ndarray:
+    """``np.lexsort((values, keys))`` for integer ``keys`` in ``[0,
+    bound)``: a stable sort by value, then a :func:`stable_argsort` pass
+    by key. Both passes are stable, so the permutation is lexsort's."""
+    by_value = np.argsort(values, kind="stable")
+    return by_value[stable_argsort(keys[by_value], bound)]
+
+
 def invert_csr(
     offsets: np.ndarray, members: np.ndarray, n_values: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -87,8 +116,9 @@ def invert_csr(
 
     Returns ``(inv_offsets, inv_segments)`` where value ``v`` maps to
     ``inv_segments[inv_offsets[v]:inv_offsets[v+1]]`` — the segments that
-    contain ``v``, in ascending segment order (the scatter below walks
-    segments in order, so per-value lists come out sorted).
+    contain ``v``, in ascending segment order (members are listed
+    segment by segment and :func:`stable_argsort` keeps that order among
+    equal values).
     """
     counts = np.bincount(members, minlength=n_values).astype(np.int64)
     inv_offsets = np.zeros(n_values + 1, dtype=np.int64)
@@ -97,6 +127,5 @@ def invert_csr(
     segment_of = np.repeat(
         np.arange(n_segments, dtype=np.int64), np.diff(offsets)
     )
-    order = np.argsort(members, kind="stable")
-    inv_segments = segment_of[order]
+    inv_segments = segment_of[stable_argsort(members, n_values)]
     return inv_offsets, inv_segments

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.assignment import Assignment
@@ -19,9 +20,9 @@ from repro.core.candidates import CandidateSet
 from repro.core.errors import ModelError
 from repro.core.instrument import SANITIZE_ENV
 from repro.core.ledger import CandidateGainIndex, LoadLedger
-from repro.core.problem import MulticastAssociationProblem, Session
+from repro.core.problem import TX_POLICIES, MulticastAssociationProblem, Session
 from repro.verify.certificates import _recompute_group_loads
-from tests.conftest import paper_example_problem, random_problem
+from tests.conftest import PYTEST_SEED, paper_example_problem, random_problem
 
 
 def oracle_loads(ledger: LoadLedger) -> list[float]:
@@ -64,6 +65,116 @@ class TestConstruction:
         assert ledger.loads() == view.loads()
         assert ledger.total_load() == view.total_load()
         assert ledger.sorted_load_vector() == view.sorted_load_vector()
+
+
+def reference_ledger(problem, initial):
+    """The per-user construction the bulk build replaced, kept as the
+    differential reference: an empty ledger filled user by user."""
+    ledger = LoadLedger(problem, check=False)
+    ledger._map = [None if a is None else int(a) for a in initial]
+    touched = set()
+    for user, ap in enumerate(ledger._map):
+        if ap is None:
+            continue
+        if not 0 <= ap < problem.n_aps:
+            raise ModelError(f"user {user} assigned to unknown AP {ap}")
+        ledger._group_for(ap, problem.session_of(user)).add(
+            user, problem.link_rate(ap, user)
+        )
+        touched.add(ap)
+    for (ap, session), group in ledger._groups.items():
+        ledger._session_costs[ap][session] = ledger._cost_of(session, group)
+    for ap in touched:
+        ledger._refresh_load(ap)
+    return ledger
+
+
+def _state(build):
+    """Everything a ledger holds after construction, floats as hex, or
+    the error its construction raised."""
+    try:
+        ledger = build()
+    except ModelError as error:
+        return ("error", str(error))
+    return (
+        ledger.ap_of_user,
+        [x.hex() for x in ledger.loads()],
+        list(ledger.group_items()),
+        # A group's count map is read by key only, so its order is free.
+        [
+            (key, group.members, group.rates, group.counts)
+            for key, group in ledger._groups.items()
+        ],
+        [list(costs.items()) for costs in ledger._session_costs],
+        ledger.op_counts(),
+    )
+
+
+class TestBulkConstruction:
+    """``LoadLedger.__init__`` against the per-user reference."""
+
+    def _case(self, rng, n_users):
+        problem = random_problem(
+            rng,
+            n_aps=rng.randint(1, 6),
+            n_users=n_users,
+            n_sessions=rng.randint(1, 4),
+            rates=(6.0, 12.0, 24.0, 36.0),
+            reach_probability=0.5,
+            ensure_coverage=False,
+        )
+        problem = problem.with_policies(
+            [rng.choice(TX_POLICIES) for _ in range(problem.n_sessions)]
+        )
+        initial = []
+        for user in range(problem.n_users):
+            heard = problem.aps_of_user(user)
+            draw = rng.random()
+            if draw < 0.25 or not heard:
+                initial.append(None)
+            elif draw < 0.3:
+                initial.append(rng.randrange(problem.n_aps))  # maybe 0 rate
+            else:
+                initial.append(rng.choice(heard))
+        if rng.random() < 0.15 and initial:
+            user = rng.randrange(len(initial))
+            initial[user] = rng.choice([-1, problem.n_aps, problem.n_aps + 3])
+        return problem, initial
+
+    def test_matches_the_per_user_construction(self):
+        rng = random.Random(PYTEST_SEED)
+        seen = {"error": 0, "minus_one": 0, "multi_rate": 0, "policy": 0}
+        for trial in range(300):
+            n_users = rng.randint(0, 40 if trial % 10 else 400)
+            problem, initial = self._case(rng, n_users)
+            got = _state(lambda: LoadLedger(problem, initial, check=False))
+            want = _state(lambda: reference_ledger(problem, initial))
+            assert got == want, (problem.link_rates.tolist(), initial)
+            if got[0] == "error":
+                seen["error"] += 1
+                seen["minus_one"] += "unknown AP -1" in got[1]
+                continue
+            seen["multi_rate"] += any(len(g[2]) > 1 for g in got[3])
+            seen["policy"] += any(k.startswith("policy_") for k in got[5])
+        assert all(seen.values()), seen
+
+    def test_numpy_integers_and_tuples(self):
+        rng = random.Random(PYTEST_SEED + 7)
+        for _ in range(20):
+            problem, initial = self._case(rng, 30)
+            held = tuple(None if a is None else np.int64(a) for a in initial)
+            assert _state(lambda: LoadLedger(problem, held)) == _state(
+                lambda: reference_ledger(problem, initial)
+            )
+
+    def test_checked_bulk_construction(self):
+        rng = random.Random(PYTEST_SEED + 3)
+        for _ in range(30):
+            problem, initial = self._case(rng, 60)
+            try:
+                LoadLedger(problem, initial, check=True)
+            except ModelError as error:
+                assert "unknown AP" in str(error)
 
 
 class TestGainQueries:

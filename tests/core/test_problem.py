@@ -15,7 +15,7 @@ from repro.core.problem import (
 )
 from repro.radio.geometry import Point
 from repro.radio.propagation import ThresholdPropagation
-from tests.conftest import paper_example_problem, random_problem
+from tests.conftest import PYTEST_SEED, paper_example_problem, random_problem
 
 class TestSession:
     def test_valid(self):
@@ -163,6 +163,26 @@ class TestAccessors:
         for a in range(p.n_aps):
             expected = [u for u in range(p.n_users) if m[a, u] > 0]
             assert p.users_of_ap(a) == expected
+
+    def test_neighbour_lists_past_the_16_bit_user_range(self):
+        # Over 65,536 users the CSR sorts users in two radix passes.
+        rng = np.random.default_rng(PYTEST_SEED)
+        rates = rng.choice([0.0, 0.0, 6.0, 24.0], size=(3, 70_000))
+        p = MulticastAssociationProblem(
+            rates, [0] * rates.shape[1], [Session(0, 1.0)]
+        )
+        for u in rng.choice(rates.shape[1], size=300, replace=False).tolist():
+            assert p.aps_of_user(u) == np.flatnonzero(rates[:, u] > 0).tolist()
+        assert p.aps_of_user(rates.shape[1] - 1) == (
+            np.flatnonzero(rates[:, -1] > 0).tolist()
+        )
+
+    def test_session_index_is_a_read_only_copy_of_the_requests(self):
+        p = paper_example_problem(1.0)
+        assert p.session_index.dtype == np.int64
+        assert p.session_index.tolist() == list(p.user_sessions)
+        with pytest.raises(ValueError):
+            p.session_index[0] = 1
 
     def test_link_rate_and_in_range(self):
         p = paper_example_problem(1.0)

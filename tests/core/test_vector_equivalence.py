@@ -278,11 +278,13 @@ def test_solve_bla_equivalence(problem, local_search):
 def test_from_selected_sets_equivalence(problem, rng):
     """Each user joins the AP of the first selection holding it at its
     highest link rate, whatever order the selections arrive in."""
+    family = build_family(problem)
+    chosen = list(range(family.n_candidates))
+    rng.shuffle(chosen)
     selections = [
         (c.ap, c.session, c.tx_rate, c.users)
-        for c in build_candidates(problem)
+        for c in (family.candidate(k) for k in chosen)
     ]
-    rng.shuffle(selections)
     expected = []
     for user in range(problem.n_users):
         holding = [i for i, sel in enumerate(selections) if user in sel[3]]
@@ -294,7 +296,7 @@ def test_from_selected_sets_equivalence(problem, rng):
             key=lambda i: (problem.link_rate(selections[i][0], user), -i),
         )
         expected.append(selections[best][0])
-    assignment = from_selected_sets(problem, selections)
+    assignment = from_selected_sets(problem, family, chosen)
     assert list(assignment.ap_of_user) == expected
 
 

@@ -52,6 +52,17 @@ class TestAnalyzeHandoffs:
         assert s.associated_time_s == pytest.approx(3.0 + 4.0)
         assert s.longest_outage_s == pytest.approx(2.0)
 
+    def test_reassociation_elsewhere_after_a_gap_is_a_handoff(self):
+        log = [
+            (1.0, 10, None, 0),
+            (4.0, 10, 0, None),
+            (6.0, 10, None, 1),  # 0 -> 1 across the gap: a handoff
+            (7.0, 10, 1, None),
+            (8.0, 10, None, 1),  # back on the same AP: not a handoff
+        ]
+        report = analyze_handoffs(log, stations=[10], window_s=10.0)
+        assert report.total_handoffs == 1
+
     def test_never_associated(self):
         report = analyze_handoffs([], stations=[10], window_s=5.0)
         (s,) = report.stations
@@ -247,3 +258,27 @@ class TestFromSimulation:
         # each station misses at most its pre-association ramp-up
         assert report.mean_continuity > 0.8
         assert report.total_handoffs == result.handoffs
+
+    def test_ap_to_ap_moves_are_counted(self):
+        scenario = generate(
+            n_aps=8, n_users=16, n_sessions=3, seed=2, area=Area.square(500)
+        )
+        sim = WlanSimulation(
+            scenario, WlanConfig(policy="mla", max_time_s=600.0)
+        )
+        result = sim.run()
+        # Stations break before they make: a move shows in the log as
+        # A -> None, then None -> B. Count the joins at a new AP.
+        last_ap: dict[int, int] = {}
+        moves = 0
+        for _time, station, _old, new in sorted(
+            sim.association_log, key=lambda entry: entry[0]
+        ):
+            if new is None:
+                continue
+            if last_ap.get(station, new) != new:
+                moves += 1
+            last_ap[station] = new
+        assert moves > 0
+        assert result.handoffs == moves
+        assert report_from_simulation(sim).total_handoffs == moves
