@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.core.errors import ModelError
-from repro.radio.geometry import Point
+from repro.radio.geometry import Point, xy_array
 from repro.radio.propagation import PropagationModel
 from repro.vec import backend
 
@@ -183,12 +183,7 @@ class MulticastAssociationProblem:
         policies: str | Sequence[str] | None = None,
     ) -> "MulticastAssociationProblem":
         """Build an instance from node positions and a propagation model."""
-        rates = np.zeros((len(ap_positions), len(user_positions)))
-        for a, ap in enumerate(ap_positions):
-            for u, user in enumerate(user_positions):
-                rate = model.link_rate(ap, user)
-                if rate is not None:
-                    rates[a, u] = rate
+        rates = model.rate_matrix(xy_array(ap_positions), xy_array(user_positions))
         return cls(rates, user_sessions, sessions, budgets, policies)
 
     # -- basic accessors -----------------------------------------------------

@@ -18,7 +18,6 @@ from repro.engine.incremental import CacheStats, ShardCache, shard_fingerprint
 from repro.engine.partition import (
     Component,
     ShardPlan,
-    UnionFind,
     coverage_components,
     plan_shards,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "ShardPlan",
     "ShardProblem",
     "ShardedEngine",
-    "UnionFind",
     "build_shards",
     "coverage_components",
     "plan_shards",

@@ -11,7 +11,8 @@ the component-wise runs reproduce the monolithic runs *exactly* (see
 ``repro.engine.executor`` for where the two genuinely global decisions, the
 H1/H2 split and the B* search, are re-applied across shards).
 
-Components are extracted with a union–find over ``n_aps + n_users`` nodes.
+Components are labelled in bulk by ``scipy.sparse.csgraph`` over the
+``n_aps + n_users`` nodes, then grouped with array sorts.
 Tiny components (common in sparse or federated deployments) can optionally
 be merged into balanced shards under a user-count cap — merging is still
 lossless, since a shard containing several components just runs their
@@ -20,40 +21,14 @@ independent solves interleaved.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from repro.core.problem import MulticastAssociationProblem
-
-
-class UnionFind:
-    """Array-based disjoint sets with union by rank and path halving."""
-
-    def __init__(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("need a non-negative number of nodes")
-        self._parent = list(range(n))
-        self._rank = [0] * n
-
-    def find(self, x: int) -> int:
-        parent = self._parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the sets of ``a`` and ``b``; True if they were distinct."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        if self._rank[ra] == self._rank[rb]:
-            self._rank[ra] += 1
-        return True
 
 
 @dataclass(frozen=True)
@@ -118,28 +93,40 @@ def coverage_components(
     ascending, so downstream index remaps preserve the monolithic orderings
     the solvers' tie-breaks depend on.
     """
-    n_aps, n_users = problem.n_aps, problem.n_users
-    finder = UnionFind(n_aps + n_users)
-    edges = np.argwhere(problem.link_rates > 0)
-    for ap, user in edges:
-        finder.union(int(ap), n_aps + int(user))
-
-    members: dict[int, tuple[list[int], list[int]]] = {}
-    has_edge_ap = set(int(a) for a in edges[:, 0]) if len(edges) else set()
-    has_edge_user = set(int(u) for u in edges[:, 1]) if len(edges) else set()
-    isolated_users = [u for u in range(n_users) if u not in has_edge_user]
-    idle_aps = [a for a in range(n_aps) if a not in has_edge_ap]
-    for ap in has_edge_ap:
-        members.setdefault(finder.find(ap), ([], []))[0].append(ap)
-    for user in has_edge_user:
-        members.setdefault(finder.find(n_aps + user), ([], []))[1].append(user)
-
-    components = [
-        Component(aps=tuple(sorted(aps)), users=tuple(sorted(users)))
-        for aps, users in members.values()
-    ]
-    components.sort(key=lambda c: c.aps[0])
-    return components, isolated_users, idle_aps
+    n_aps = problem.n_aps
+    n_nodes = n_aps + problem.n_users
+    aps, users = np.nonzero(problem.link_rates > 0)
+    graph = sparse.coo_matrix(
+        (np.ones(len(aps), dtype=np.int8), (aps, n_aps + users)),
+        shape=(n_nodes, n_nodes),
+    )
+    _, labels = connected_components(graph, directed=False)
+    linked = np.zeros(n_nodes, dtype=bool)
+    linked[aps] = linked[n_aps + users] = True
+    nodes = np.flatnonzero(linked)  # APs first, then users, ascending
+    # Every component with an edge holds an AP, so its first node is its
+    # smallest AP: rank components by that first node.
+    found, first = np.unique(labels[nodes], return_index=True)
+    rank = np.empty(n_nodes, dtype=np.int64)
+    rank[found[np.argsort(first)]] = np.arange(len(found))
+    keys = rank[labels[nodes]]
+    grouped = nodes[np.argsort(keys, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(keys, minlength=len(found))).tolist()
+    components = []
+    for start, end in zip([0, *ends], ends, strict=False):
+        group = grouped[start:end]
+        cut = bisect_left(group, n_aps)
+        components.append(
+            Component(
+                aps=tuple(group[:cut]),
+                users=tuple(node - n_aps for node in group[cut:]),
+            )
+        )
+    return (
+        components,
+        np.flatnonzero(~linked[n_aps:]).tolist(),
+        np.flatnonzero(~linked[:n_aps]).tolist(),
+    )
 
 
 def _merge_components(
@@ -156,25 +143,20 @@ def _merge_components(
     capacity = max(
         max_shard_users, max((c.n_users for c in components), default=0)
     )
-    bins: list[tuple[list[int], list[int], int]] = []  # (aps, users, used)
+    bins: list[tuple[list[int], list[int]]] = []  # (aps, users)
     for component in sorted(
         components, key=lambda c: (-c.n_users, c.aps[0])
     ):
-        placed = False
-        for index, (aps, users, used) in enumerate(bins):
-            if used + component.n_users <= capacity:
-                aps.extend(component.aps)
-                users.extend(component.users)
-                bins[index] = (aps, users, used + component.n_users)
-                placed = True
-                break
-        if not placed:
-            bins.append(
-                (list(component.aps), list(component.users), component.n_users)
-            )
+        fits = (b for b in bins if len(b[1]) + component.n_users <= capacity)
+        target = next(fits, None)
+        if target is None:
+            target = ([], [])
+            bins.append(target)
+        target[0].extend(component.aps)
+        target[1].extend(component.users)
     merged = [
         Component(aps=tuple(sorted(aps)), users=tuple(sorted(users)))
-        for aps, users, _ in bins
+        for aps, users in bins
     ]
     merged.sort(key=lambda c: c.aps[0])
     return merged

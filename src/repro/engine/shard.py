@@ -104,26 +104,26 @@ class Shard:
             self._digest_rates = rates
         return self._block_digest
 
-    def active_users(self, active: Iterable[int] | None) -> tuple[int, ...]:
+    def active_users(self, active: Iterable[int]) -> tuple[int, ...]:
         """The shard's users intersected with ``active``, ascending."""
-        if active is None:
-            return self.users
         return tuple(sorted(self.user_set.intersection(active)))
 
     def slice(
         self,
         problem: MulticastAssociationProblem,
-        active: Iterable[int] | None = None,
+        users: tuple[int, ...] | None = None,
     ) -> ShardProblem:
         """The sub-problem of ``problem`` over this shard's APs and
-        active users.
+        ``users`` (ascending, as :meth:`active_users` returns them; all of
+        the shard's users by default).
 
         Keeps every session (ids stay stable), slices the rate matrix with
         sorted index vectors (orders stay stable), and carries the per-AP
         budgets and per-session transmission policies over verbatim. A
         shard holding every AP slices the user axis only.
         """
-        users = self.active_users(active)
+        if users is None:
+            users = self.users
         columns = np.asarray(users, dtype=np.int64)
         if len(self.aps) == problem.n_aps:  # sorted, distinct: all APs
             rates = np.take(problem.link_rates, columns, axis=1)

@@ -6,7 +6,6 @@ from repro.radio.geometry import (
     Point,
     bounding_area,
     iter_grid_positions,
-    pairwise_distances,
 )
 from repro.radio.interference import (
     InterferenceMap,
@@ -47,7 +46,6 @@ __all__ = [
     "dot11b_table",
     "dot11g_table",
     "iter_grid_positions",
-    "pairwise_distances",
     "scan",
     "strongest_ap",
 ]

@@ -12,22 +12,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.radio.geometry import Area, Point
+import numpy as np
+
+from repro.radio.geometry import Area, Point, xy_array
 from repro.radio.propagation import PropagationModel
 
 
-def _samples(area: Area, resolution: int) -> list[Point]:
+def _sample_rates(
+    area: Area,
+    ap_positions: Sequence[Point],
+    model: PropagationModel,
+    resolution: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``resolution x resolution`` sample grid, as ``(n, 2)``
+    coordinates, and its ``(n_aps, n)`` rate matrix."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    xs = [
-        area.x_min + (area.width * i) / (resolution - 1)
-        for i in range(resolution)
-    ]
-    ys = [
-        area.y_min + (area.height * j) / (resolution - 1)
-        for j in range(resolution)
-    ]
-    return [Point(x, y) for x in xs for y in ys]
+    steps = np.arange(resolution)
+    xs = area.x_min + area.width * steps / (resolution - 1)
+    ys = area.y_min + area.height * steps / (resolution - 1)
+    samples = np.column_stack([np.repeat(xs, resolution), np.tile(ys, resolution)])
+    return samples, model.rate_matrix(xy_array(ap_positions), samples)
 
 
 @dataclass(frozen=True)
@@ -64,33 +69,19 @@ def analyze_coverage(
     ``mean_best_rate_mbps`` averages the best achievable link rate over
     *covered* points only (0 if nothing is covered).
     """
-    points = _samples(area, resolution)
-    depths: list[int] = []
-    best_rates: list[float] = []
-    for point in points:
-        depth = 0
-        best = 0.0
-        for ap in ap_positions:
-            rate = model.link_rate(ap, point)
-            if rate is not None:
-                depth += 1
-                best = max(best, rate)
-        depths.append(depth)
-        if depth:
-            best_rates.append(best)
-    max_depth = max(depths, default=0)
-    histogram = [0] * (max_depth + 1)
-    for depth in depths:
-        histogram[depth] += 1
-    covered = sum(1 for d in depths if d > 0)
+    samples, rates = _sample_rates(area, ap_positions, model, resolution)
+    depths = np.count_nonzero(rates, axis=0)
+    covered = depths > 0
+    # Averaged by Python's left-to-right sum, not numpy's pairwise one.
+    best_rates = rates.max(axis=0, initial=0.0)[covered].tolist()
     return CoverageReport(
-        covered_fraction=covered / len(points),
-        mean_coverage_depth=sum(depths) / len(points),
-        depth_histogram=tuple(histogram),
+        covered_fraction=int(covered.sum()) / len(samples),
+        mean_coverage_depth=int(depths.sum()) / len(samples),
+        depth_histogram=tuple(np.bincount(depths).tolist()),
         mean_best_rate_mbps=(
             sum(best_rates) / len(best_rates) if best_rates else 0.0
         ),
-        samples=len(points),
+        samples=len(samples),
     )
 
 
@@ -102,13 +93,8 @@ def coverage_holes(
     resolution: int = 40,
 ) -> list[Point]:
     """Sampled points not covered by any AP (for planning diagnostics)."""
-    return [
-        point
-        for point in _samples(area, resolution)
-        if not any(
-            model.link_rate(ap, point) is not None for ap in ap_positions
-        )
-    ]
+    samples, rates = _sample_rates(area, ap_positions, model, resolution)
+    return [Point(x, y) for x, y in samples[~rates.any(axis=0)].tolist()]
 
 
 def recommend_ap_count(

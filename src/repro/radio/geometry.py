@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True, slots=True)
 class Point:
@@ -93,11 +95,9 @@ class Area:
         return Point((self.x_min + self.x_max) / 2, (self.y_min + self.y_max) / 2)
 
 
-def pairwise_distances(
-    sources: Sequence[Point], targets: Sequence[Point]
-) -> list[list[float]]:
-    """Dense distance matrix ``d[i][j] = |sources[i] - targets[j]|``."""
-    return [[s.distance_to(t) for t in targets] for s in sources]
+def xy_array(points: Sequence[Point]) -> np.ndarray:
+    """The ``(n, 2)`` float array of ``points``' coordinates, in order."""
+    return np.array([(p.x, p.y) for p in points], dtype=float).reshape(-1, 2)
 
 
 class NeighborIndex:

@@ -6,6 +6,9 @@ log-distance path-loss model with lognormal shadowing whose SNR is quantized
 onto the same rate ladder (:class:`LogDistancePropagation`). Both expose the
 same small interface, so every layer above (simulator, scenario generation,
 association algorithms) is propagation-agnostic.
+
+:meth:`PropagationModel.rate_matrix` is the one place an (AP, user) rate
+matrix is built; ``link_rate`` is the scalar reference it equals bit for bit.
 """
 
 from __future__ import annotations
@@ -14,8 +17,24 @@ import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.radio.geometry import Point
 from repro.radio.rates import RateTable, dot11a_table
+
+
+#: AP-user pairs per block of whole AP rows (at least one): small blocks
+#: stay in cache and keep the bulk kernel's scratch out of the peak RSS.
+_BLOCK_PAIRS = 1 << 16
+
+#: Half-width, in spacings of a squared threshold, of the band recounted
+#: with ``math.hypot``. Squared distances err by ~3 spacings and
+#: ``math.hypot`` by an ulp, so outside the band both decide alike.
+_GUARD_ULPS = 16
+
+
+def _xy(points: np.ndarray) -> np.ndarray:
+    return np.asarray(points, dtype=float).reshape(-1, 2)
 
 
 class PropagationModel(ABC):
@@ -33,6 +52,17 @@ class PropagationModel(ABC):
     @abstractmethod
     def signal_strength(self, ap: Point, user: Point) -> float:
         """Received signal strength in dBm (used by the SSA baseline)."""
+
+    def rate_matrix(self, ap_xy: np.ndarray, user_xy: np.ndarray) -> np.ndarray:
+        """``(n_aps, n_users)`` link rates in Mbps, 0.0 where out of range.
+
+        ``ap_xy`` and ``user_xy`` are ``(n, 2)`` coordinates. This default
+        asks :meth:`link_rate` pair by pair.
+        """
+        aps = [Point(x, y) for x, y in _xy(ap_xy).tolist()]
+        users = [Point(x, y) for x, y in _xy(user_xy).tolist()]
+        rates = [[self.link_rate(ap, user) or 0.0 for user in users] for ap in aps]
+        return np.array(rates, dtype=float).reshape(len(aps), len(users))
 
     def in_range(self, ap: Point, user: Point) -> bool:
         return self.link_rate(ap, user) is not None
@@ -62,6 +92,42 @@ class ThresholdPropagation(PropagationModel):
 
     def link_rate(self, ap: Point, user: Point) -> float | None:
         return self.table.rate_at(ap.distance_to(user))
+
+    def rate_matrix(self, ap_xy: np.ndarray, user_xy: np.ndarray) -> np.ndarray:
+        """The rate matrix in bulk, equal to :meth:`link_rate` pair by pair.
+
+        A pair's rate is indexed by how many thresholds (ascending, higher
+        rate first at equal reach) its distance exceeds. That count is
+        taken on squared distances twice, ``_GUARD_ULPS`` spacings above
+        and below each squared threshold; where the two differ, the pair
+        is recounted from ``math.hypot``, the distance ``rate_at`` sees.
+        """
+        ladder = sorted(self.table, key=lambda s: (s.max_distance_m, -s.rate_mbps))
+        reach = np.array([step.max_distance_m for step in ladder])
+        rates_by_count = np.array([step.rate_mbps for step in ladder] + [0.0])
+        band = _GUARD_ULPS * np.spacing(reach * reach)
+        above, below = reach * reach + band, reach * reach - band
+        aps, users = _xy(ap_xy), _xy(user_xy)
+        out = np.zeros((len(aps), len(users)))
+        rows = max(1, _BLOCK_PAIRS // max(len(users), 1))
+        for start in range(0, len(aps), rows):
+            block = aps[start : start + rows]
+            dx = block[:, :1] - users[:, 0]
+            sq = block[:, 1:] - users[:, 1]
+            sq *= sq
+            dx *= dx
+            sq += dx
+            sure = np.zeros(sq.shape, dtype=np.int8)
+            maybe = np.zeros(sq.shape, dtype=np.int8)
+            for hi, lo in zip(above, below, strict=True):
+                sure += sq > hi
+                maybe += sq > lo
+            np.take(rates_by_count, sure, out=out[start : start + len(block)])
+            a, u = np.nonzero(sure != maybe)
+            dx, dy = block[a, 0] - users[u, 0], block[a, 1] - users[u, 1]
+            exact = list(map(math.hypot, dx.tolist(), dy.tolist()))
+            out[start + a, u] = rates_by_count[np.searchsorted(reach, exact)]
+        return out
 
     def signal_strength(self, ap: Point, user: Point) -> float:
         distance = max(ap.distance_to(user), 1.0)

@@ -1,13 +1,12 @@
 """Large-scale grid deployments for the 100k-user scale benchmark.
 
 The paper's random-uniform generator (:mod:`repro.scenarios.generator`)
-builds positions point by point through :class:`random.Random` and derives
-link rates pair by pair — perfect for the paper-sized instances (≤ 2000
-users) but quadratic python work at 100k users × 1k APs. This module is
-the scale-bench companion: APs on a square grid with a pitch chosen so
-every grid cell is fully covered by its own AP, users uniform within
-(randomly chosen) AP cells, and the whole rate matrix quantized onto the
-802.11a ladder blockwise in numpy. Fully deterministic in ``seed``.
+places nodes one by one through :class:`random.Random`, which suits the
+paper-sized instances (≤ 2000 users). This scale-bench companion draws in
+numpy: APs on a square grid whose pitch lets each cell's AP cover the whole
+cell, and users uniform within randomly chosen AP cells. Link rates are the
+paper's, from ``ThresholdPropagation(dot11a_table()).rate_matrix``. Fully
+deterministic in ``seed``.
 
 The 180 m pitch keeps the farthest in-cell point at ``90·√2 ≈ 127 m``
 from the cell's AP — inside the 200 m basic-rate range — so instances are
@@ -21,16 +20,12 @@ import math
 import numpy as np
 
 from repro.core.problem import MulticastAssociationProblem
+from repro.radio.propagation import ThresholdPropagation
+from repro.radio.rates import dot11a_table
 from repro.scenarios.sessions import uniform_catalog
 
 #: AP grid pitch in meters (< 200·√2, so cells are fully covered).
 GRID_PITCH_M = 180.0
-
-#: The 802.11a rate-vs-distance ladder (Manshaei & Turletti, the paper's
-#: Table 1), as parallel arrays ascending by distance threshold. Index 7
-#: (beyond the 200 m basic-rate reach) maps to rate 0 = out of range.
-_THRESHOLDS_M = np.asarray([35.0, 40.0, 60.0, 85.0, 105.0, 145.0, 200.0])
-_RATES_MBPS = np.asarray([54.0, 48.0, 36.0, 24.0, 18.0, 12.0, 6.0, 0.0])
 
 
 def generate_largescale(
@@ -41,21 +36,16 @@ def generate_largescale(
     seed: int = 0,
     stream_rate_mbps: float = 1.0,
     budget: float = 0.9,
-    block: int = 1 << 22,
 ) -> MulticastAssociationProblem:
     """A deterministic grid deployment at benchmark scale.
 
     APs fill a ``ceil(sqrt(n_aps))``-wide grid row by row; each user picks
     a uniformly random AP cell and a uniform position inside it, so every
     user is within basic-rate range of at least its own cell's AP. Link
-    rates to *all* APs (neighbors included) are quantized onto the 802.11a
-    ladder blockwise, at most ``block`` (AP, user) pairs of scratch per
-    step.
+    rates to *all* APs (neighbors included) follow the 802.11a ladder.
     """
     if n_aps <= 0 or n_users < 0:
         raise ValueError("need at least one AP and a non-negative user count")
-    if block <= 0:
-        raise ValueError("block size must be positive")
     rng = np.random.default_rng(seed)
     side = math.ceil(math.sqrt(n_aps))
     cells = np.arange(n_aps, dtype=np.int64)
@@ -70,26 +60,7 @@ def generate_largescale(
         -GRID_PITCH_M / 2.0, GRID_PITCH_M / 2.0, size=(n_users, 2)
     )
     user_xy = ap_xy[host] + offsets
-
-    # Block over APs so every write lands on contiguous rows of the
-    # AP-major matrix (column-strided writes are ~5x slower at 100k × 1k,
-    # and a user-major staging array would need an 800 MB transpose).
-    # Comparing squared distances against squared thresholds skips the
-    # sqrt without changing any quantization decision (both sides are
-    # exact squares of table values).
-    rates = np.zeros((n_aps, n_users))
-    thresholds_sq = _THRESHOLDS_M * _THRESHOLDS_M
-    ap_block = max(1, block // max(n_users, 1))
-    for start in range(0, n_aps, ap_block):
-        stop = min(start + ap_block, n_aps)
-        dx = ap_xy[start:stop, 0][:, np.newaxis] - user_xy[:, 0][np.newaxis, :]
-        dy = ap_xy[start:stop, 1][:, np.newaxis] - user_xy[:, 1][np.newaxis, :]
-        distance_sq = dx * dx
-        distance_sq += dy * dy
-        ladder = np.zeros(distance_sq.shape, dtype=np.int64)
-        for threshold_sq in thresholds_sq:
-            ladder += distance_sq > threshold_sq
-        rates[start:stop, :] = _RATES_MBPS[ladder]
+    rates = ThresholdPropagation(dot11a_table()).rate_matrix(ap_xy, user_xy)
 
     sessions = uniform_catalog(n_sessions, stream_rate_mbps)
     user_sessions = [int(s) for s in rng.integers(0, n_sessions, size=n_users)]

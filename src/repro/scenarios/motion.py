@@ -44,7 +44,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from repro.radio.geometry import Area, Point
+import numpy as np
+
+from repro.radio.geometry import Area, Point, xy_array
 from repro.scenarios.generator import Scenario
 
 #: The motion-model names :func:`make_motion_model` accepts.
@@ -413,26 +415,23 @@ def link_timeseries(
             f"scenario has {scenario.n_users}"
         )
     model = scenario.model
+    ap_xy = xy_array(scenario.ap_positions)
     series: list[tuple[LinkSample, ...]] = []
     for epoch_positions in trace.positions:
+        rates = model.rate_matrix(ap_xy, xy_array(epoch_positions))
         samples: list[LinkSample] = []
-        for user in epoch_positions:
+        for u, user in enumerate(epoch_positions):
             best_ap: int | None = None
             best_rssi = -math.inf
-            best_rate = 0.0
-            for ap_index, ap in enumerate(scenario.ap_positions):
-                rate = model.link_rate(ap, user)
-                if rate is None:
-                    continue
-                rssi = model.signal_strength(ap, user)
+            for ap_index in np.flatnonzero(rates[:, u]).tolist():
+                rssi = model.signal_strength(scenario.ap_positions[ap_index], user)
                 if rssi > best_rssi:
                     best_rssi = rssi
                     best_ap = ap_index
-                    best_rate = rate
             samples.append(
                 LinkSample(
                     best_ap=best_ap,
-                    rate_mbps=best_rate if best_ap is not None else 0.0,
+                    rate_mbps=0.0 if best_ap is None else float(rates[best_ap, u]),
                     rssi_dbm=best_rssi,
                 )
             )

@@ -44,7 +44,7 @@ class TestSlice:
         problem, shards = sharded
         shard = shards[0]
         keep = set(shard.users[::2])
-        sub = shard.slice(problem, keep)
+        sub = shard.slice(problem, shard.active_users(keep))
         assert sub.users == tuple(sorted(keep))
         assert sub.problem.n_users == len(keep)
 

@@ -12,7 +12,7 @@ from repro.radio.geometry import (
     Point,
     bounding_area,
     iter_grid_positions,
-    pairwise_distances,
+    xy_array,
 )
 
 coords = st.floats(
@@ -130,9 +130,10 @@ class TestNeighborIndex:
 
 
 class TestHelpers:
-    def test_pairwise_distances(self):
-        d = pairwise_distances([Point(0, 0)], [Point(3, 4), Point(0, 1)])
-        assert d == [[5.0, 1.0]]
+    def test_xy_array(self):
+        xy = xy_array([Point(0, 0), Point(3.5, -4)])
+        assert xy.dtype == float and xy.tolist() == [[0.0, 0.0], [3.5, -4.0]]
+        assert xy_array([]).shape == (0, 2)
 
     def test_grid_positions_count_and_containment(self):
         area = Area.square(100)

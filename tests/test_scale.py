@@ -11,6 +11,7 @@ hundreds of megabytes.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
@@ -50,6 +51,20 @@ def _solve_and_verify(problem, budget_s):
         )
         if objective == "mla":
             assert assignment.n_served == problem.n_users
+
+
+#: SHA-256 of ``generate_largescale(n_users=10_000, n_aps=256, seed=0)``'s
+#: rate-matrix bytes, recorded when the generator quantized with its own
+#: squared-distance copy of the 802.11a ladder.
+SCALE_10K_RATES_SHA256 = (
+    "1b36e4fa90e4e84ab7dcd2e2991c012371c4dfe54ba232c6766e2ca3aeab963e"
+)
+
+
+def test_scale_10k_rates_are_pinned():
+    problem = generate_largescale(n_users=10_000, n_aps=256, seed=0)
+    digest = hashlib.sha256(problem.link_rates.tobytes()).hexdigest()
+    assert digest == SCALE_10K_RATES_SHA256
 
 
 def test_scale_10k_smoke():
