@@ -3,7 +3,6 @@
 from repro.core.assignment import (
     Assignment,
     compare_load_vectors,
-    from_candidate_sets,
     from_selected_sets,
     served_counts_by_ap,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "decide",
     "expand_subscriptions",
     "expand_with_power_levels",
-    "from_candidate_sets",
     "from_selected_sets",
     "generate_churn_trace",
     "greedy_mcg",

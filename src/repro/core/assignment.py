@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.core.candidates import CandidateFamily, CandidateSet
+from repro.core.candidates import CandidateFamily
 from repro.core.errors import InfeasibleAssignmentError, ModelError
 from repro.core.ledger import LoadLedger
 from repro.core.problem import MulticastAssociationProblem
@@ -234,9 +234,7 @@ def from_selected_sets(
     The (selection, user) pairs are checked in selection order, users
     ascending within a selection, and the first pair whose user requests
     another session or cannot decode the set's rate raises
-    :class:`ModelError`, so an error always names the same user. Holders
-    of :class:`~repro.core.candidates.CandidateSet` lists flatten them
-    with :func:`from_candidate_sets`.
+    :class:`ModelError`, so an error always names the same user.
     """
     picks = np.asarray(chosen, dtype=np.int64)
     offsets = backend.as_int64(family.offsets)
@@ -283,17 +281,6 @@ def from_selected_sets(
     for user in np.flatnonzero(held < 0).tolist():
         ap_of_user[user] = None
     return Assignment._of(problem, tuple(ap_of_user))
-
-
-def from_candidate_sets(
-    problem: MulticastAssociationProblem, selected: Sequence[CandidateSet]
-) -> Assignment:
-    """:func:`from_selected_sets` over a list of selected candidate sets,
-    flattened in order."""
-    family = CandidateFamily.from_candidates(
-        selected, n_users=problem.n_users, n_aps=problem.n_aps
-    )
-    return from_selected_sets(problem, family, range(len(selected)))
 
 
 def compare_load_vectors(

@@ -1,8 +1,9 @@
 """LP-relaxation bounds and quality certificates.
 
 The exact ILPs (:mod:`repro.core.optimal`) only scale to small networks.
-Their *LP relaxations* solve in polynomial time at any scale and bound the
-optimum from the right side:
+Their *LP relaxations* — the same :class:`~repro.core.optimal.CoverModel`
+solved with zero integrality — solve in polynomial time at any scale and
+bound the optimum from the right side:
 
 * MLA: ``LP <= OPT <= greedy`` — a certified upper bound on the greedy's
   optimality gap;
@@ -19,104 +20,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
-
 from repro.core.assignment import Assignment
-from repro.core.candidates import build_candidates
-from repro.core.errors import CoverageError, ModelError, SolverError
-from repro.core.optimal import _coverage_matrix, _group_cost_matrix
+from repro.core.errors import ModelError
+from repro.core.optimal import cover_model
 from repro.core.problem import MulticastAssociationProblem
-
-
-def _solve_lp(
-    c: np.ndarray,
-    constraints: "list[LinearConstraint] | LinearConstraint",
-    bounds: Bounds,
-    what: str,
-) -> float:
-    """HiGHS LP solve (milp with zero integrality)."""
-    result = milp(
-        c=c,
-        constraints=constraints,
-        integrality=np.zeros(len(c)),
-        bounds=bounds,
-    )
-    if not result.success:
-        raise SolverError(f"LP relaxation for {what} failed: {result.message}")
-    return float(result.fun)
 
 
 def mla_lp_bound(problem: MulticastAssociationProblem) -> float:
     """LP lower bound on the optimal total multicast load."""
-    isolated = problem.isolated_users()
-    if isolated:
-        raise CoverageError(isolated)
-    candidates = build_candidates(problem)
-    coverage = _coverage_matrix(candidates, problem.n_users)
-    costs = np.array([c.cost for c in candidates])
-    return _solve_lp(
-        costs,
-        [LinearConstraint(coverage, lb=1, ub=np.inf)],
-        Bounds(0, 1),
-        "MLA",
-    )
+    return cover_model(problem, "mla").solve(relax=True)[0]
 
 
 def bla_lp_bound(problem: MulticastAssociationProblem) -> float:
     """LP lower bound on the optimal maximum AP load."""
-    isolated = problem.isolated_users()
-    if isolated:
-        raise CoverageError(isolated)
-    candidates = build_candidates(problem)
-    n = len(candidates)
-    coverage = _coverage_matrix(candidates, problem.n_users)
-    group_costs = _group_cost_matrix(candidates, problem.n_aps)
-    objective = np.zeros(n + 1)
-    objective[n] = 1.0
-    coverage_ext = sparse.hstack(
-        [coverage, sparse.csr_matrix((problem.n_users, 1))]
-    )
-    load_ext = sparse.hstack([group_costs, -np.ones((problem.n_aps, 1))])
-    lower = np.zeros(n + 1)
-    upper = np.concatenate([np.ones(n), [np.inf]])
-    return _solve_lp(
-        objective,
-        [
-            LinearConstraint(coverage_ext, lb=1, ub=np.inf),
-            LinearConstraint(load_ext, lb=-np.inf, ub=0),
-        ],
-        Bounds(lower, upper),
-        "BLA",
-    )
+    return cover_model(problem, "bla").solve(relax=True)[0]
 
 
 def mnu_lp_bound(problem: MulticastAssociationProblem) -> float:
     """LP upper bound on the optimal number of served users."""
-    budgets = np.asarray(problem.budgets, dtype=float)
-    if not np.all(np.isfinite(budgets)):
-        raise SolverError("MNU requires finite per-AP budgets")
-    candidates = build_candidates(problem)
-    n = len(candidates)
-    m = problem.n_users
-    coverage = _coverage_matrix(candidates, m)
-    group_costs = _group_cost_matrix(candidates, problem.n_aps)
-    objective = np.concatenate([np.zeros(n), -np.ones(m)])
-    linkage = sparse.hstack([-coverage, sparse.eye(m, format="csr")])
-    budget_rows = sparse.hstack(
-        [group_costs, sparse.csr_matrix((problem.n_aps, m))]
-    )
-    value = _solve_lp(
-        objective,
-        [
-            LinearConstraint(linkage, lb=-np.inf, ub=0),
-            LinearConstraint(budget_rows, lb=-np.inf, ub=budgets),
-        ],
-        Bounds(0, 1),
-        "MNU",
-    )
-    return -value
+    return cover_model(problem, "mnu").solve(relax=True)[0]
 
 
 @dataclass(frozen=True)

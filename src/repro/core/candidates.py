@@ -127,7 +127,9 @@ class CandidateFamily:
     A family built by :func:`build_family` enumerates candidates in
     exactly :func:`build_candidates`' order and carries bit-identical
     costs and rates; :meth:`from_candidates` flattens that scalar list
-    into the reference family the differential tests compare against.
+    into the reference family the differential tests compare against,
+    and the scalar MNU and MLA references' picks into a family of their
+    own.
     """
 
     __slots__ = (

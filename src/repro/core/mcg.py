@@ -230,8 +230,8 @@ class FlatMcgResult:
 
     Mirrors :class:`McgResult` field for field, but holds candidate
     *indices* into the family instead of materialized sets, and the
-    covered users as a numpy bool mask. :meth:`to_mcg_result`
-    materializes the classic result for callers that want it.
+    covered users as a numpy bool mask; callers materialize the picks
+    they need with :func:`~repro.core.assignment.from_selected_sets`.
     """
 
     selected: tuple[int, ...]
@@ -243,24 +243,6 @@ class FlatMcgResult:
     @property
     def n_covered(self) -> int:
         return int(self.covered.sum())
-
-    def to_mcg_result(self, family: CandidateFamily) -> McgResult:
-        """The classic :class:`McgResult`, each selected candidate
-        materialized once from ``family``."""
-        cache: dict[int, CandidateSet] = {}
-
-        def get(k: int) -> CandidateSet:
-            if k not in cache:
-                cache[k] = family.candidate(k)
-            return cache[k]
-
-        return McgResult(
-            selected=tuple(get(k) for k in self.selected),
-            within_budget=tuple(get(k) for k in self.within_budget),
-            overshooting=tuple(get(k) for k in self.overshooting),
-            chosen=tuple(get(k) for k in self.chosen),
-            covered=frozenset(np.flatnonzero(self.covered).tolist()),
-        )
 
 
 def greedy_mcg_flat(

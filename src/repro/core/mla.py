@@ -20,7 +20,6 @@ from repro.core.candidates import (
     build_candidates,
     build_family,
 )
-from repro.core.errors import CoverageError
 from repro.core.problem import MulticastAssociationProblem
 from repro.core.setcover import greedy_set_cover, greedy_set_cover_flat
 
@@ -55,7 +54,9 @@ class MlaSolution:
 def mla_cover(problem: MulticastAssociationProblem) -> MlaCover:
     """MLA's cover step: the Theorem-5 reduction solved by ``CostSC``.
 
-    Raises :class:`CoverageError` for isolated users. The sharded
+    Raises :class:`~repro.core.errors.CoverageError` for isolated users:
+    every in-range link yields a candidate, so the users ``CostSC``
+    leaves uncovered are exactly the isolated ones. The sharded
     engine's workers stop here and materialize the picks straight from
     the family's arrays.
     """
@@ -108,9 +109,6 @@ def _cover(
     problem: MulticastAssociationProblem,
     run: Callable[[MulticastAssociationProblem], MlaCover],
 ) -> MlaCover:
-    isolated = problem.isolated_users()
-    if isolated:
-        raise CoverageError(isolated)
     with instrument.span(
         "mla.solve", n_users=problem.n_users, n_aps=problem.n_aps
     ):

@@ -17,11 +17,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from repro.core import instrument
-from repro.core.assignment import Assignment, from_candidate_sets
-from repro.core.candidates import build_candidates, build_family
-from repro.core.mcg import McgResult, greedy_mcg, greedy_mcg_flat
+from repro.core.assignment import Assignment, from_selected_sets
+from repro.core.candidates import CandidateFamily, build_candidates, build_family
+from repro.core.mcg import FlatMcgResult, greedy_mcg, greedy_mcg_flat
 from repro.core.problem import MulticastAssociationProblem
+
+
+@dataclass(frozen=True)
+class MnuCover:
+    """The budgeted greedy's result: ``mcg`` holds candidate indices of
+    ``family`` (the raw selection and its H1/H2 halves)."""
+
+    family: CandidateFamily
+    mcg: FlatMcgResult
 
 
 @dataclass(frozen=True)
@@ -29,7 +40,7 @@ class MnuSolution:
     """An MNU assignment plus the underlying MCG trace (for inspection)."""
 
     assignment: Assignment
-    mcg: McgResult
+    cover: MnuCover
 
     @property
     def n_served(self) -> int:
@@ -71,6 +82,13 @@ def augment_assignment(
     return ledger.to_assignment() if moved else assignment
 
 
+def mnu_cover(problem: MulticastAssociationProblem) -> MnuCover:
+    """MNU's cover step: the Theorem-1 reduction solved by the budgeted
+    greedy with the H1/H2 split. The sharded engine's workers stop here
+    and materialize both halves straight from the family's arrays."""
+    return _cover(problem, _flat_mcg, True)
+
+
 def solve_mnu(
     problem: MulticastAssociationProblem,
     *,
@@ -88,7 +106,8 @@ def solve_mnu(
     augment:
         greedily re-add users dropped by the split when they still fit.
     """
-    return _solve(problem, _flat_mcg, split=split, augment=augment)
+    cover = _cover(problem, _flat_mcg, split)
+    return _materialize(problem, cover, split=split, augment=augment)
 
 
 def solve_mnu_reference(
@@ -104,7 +123,8 @@ def solve_mnu_reference(
     differential tests and the ``scalar_vs_vector`` oracle compare the two;
     no production call reaches it.
     """
-    return _solve(problem, _reference_mcg, split=split, augment=augment)
+    cover = _cover(problem, _reference_mcg, split)
+    return _materialize(problem, cover, split=split, augment=augment)
 
 
 # The H1/H2 split's feasibility guarantee (Theorem 2) rests on the paper's
@@ -112,12 +132,12 @@ def solve_mnu_reference(
 # with cost > budget can never appear in any feasible solution (one
 # transmission would already exceed the AP's limit), so both greedy runs
 # below drop such sets, which is exact and restores the assumption. Each
-# returns the greedy result and the number of sets it ran over.
+# returns the cover and the number of sets it ran over.
 
 
 def _flat_mcg(
     problem: MulticastAssociationProblem, split: bool
-) -> tuple[McgResult, int]:
+) -> tuple[MnuCover, int]:
     family = build_family(problem)
     live = [
         family.cost[k] <= problem.budget_of(family.ap[k]) + 1e-12
@@ -126,12 +146,13 @@ def _flat_mcg(
     flat = greedy_mcg_flat(
         family, list(problem.budgets), live=live, split=split
     )
-    return flat.to_mcg_result(family), sum(live)
+    return MnuCover(family=family, mcg=flat), sum(live)
 
 
 def _reference_mcg(
     problem: MulticastAssociationProblem, split: bool
-) -> tuple[McgResult, int]:
+) -> tuple[MnuCover, int]:
+    """The scalar greedy, its picks flattened into a family of their own."""
     candidates = [
         c
         for c in build_candidates(problem)
@@ -139,29 +160,51 @@ def _reference_mcg(
     ]
     ground = set(range(problem.n_users))
     result = greedy_mcg(candidates, list(problem.budgets), ground, split=split)
-    return result, len(candidates)
+    family = CandidateFamily.from_candidates(
+        result.selected, n_users=problem.n_users, n_aps=problem.n_aps
+    )
+    index = {candidate: k for k, candidate in enumerate(result.selected)}
+    covered = np.zeros(problem.n_users, dtype=bool)
+    covered[sorted(result.covered)] = True
+    flat = FlatMcgResult(
+        selected=tuple(range(len(result.selected))),
+        within_budget=tuple(index[c] for c in result.within_budget),
+        overshooting=tuple(index[c] for c in result.overshooting),
+        chosen=tuple(index[c] for c in result.chosen),
+        covered=covered,
+    )
+    return MnuCover(family=family, mcg=flat), len(candidates)
 
 
-def _solve(
+def _cover(
     problem: MulticastAssociationProblem,
-    run: Callable[[MulticastAssociationProblem, bool], tuple[McgResult, int]],
+    run: Callable[[MulticastAssociationProblem, bool], tuple[MnuCover, int]],
+    split: bool,
+) -> MnuCover:
+    with instrument.span(
+        "mnu.solve", n_users=problem.n_users, n_aps=problem.n_aps
+    ):
+        cover, n_candidates = run(problem, split)
+    if instrument.enabled():
+        instrument.incr("mnu.solves")
+        instrument.incr("mnu.candidates", n_candidates)
+    return cover
+
+
+def _materialize(
+    problem: MulticastAssociationProblem,
+    cover: MnuCover,
     *,
     split: bool,
     augment: bool,
 ) -> MnuSolution:
-    with instrument.span(
-        "mnu.solve", n_users=problem.n_users, n_aps=problem.n_aps
-    ):
-        result, n_candidates = run(problem, split)
-        assignment = from_candidate_sets(problem, result.chosen)
-        if augment:
-            assignment = augment_assignment(assignment)
-        if split:
-            assignment.validate(check_budgets=True)
+    assignment = from_selected_sets(problem, cover.family, cover.mcg.chosen)
+    if augment:
+        assignment = augment_assignment(assignment)
+    if split:
+        assignment.validate(check_budgets=True)
     if instrument.enabled():
-        instrument.incr("mnu.solves")
-        instrument.incr("mnu.candidates", n_candidates)
         instrument.gauge("mnu.n_served", float(assignment.n_served))
         instrument.gauge("mnu.total_load", assignment.total_load())
         instrument.gauge("mnu.max_load", assignment.max_load())
-    return MnuSolution(assignment=assignment, mcg=result)
+    return MnuSolution(assignment=assignment, cover=cover)

@@ -2,9 +2,11 @@
 
 The paper's Fig. 12 compares its heuristics against optimal solutions
 computed by ILPs "based on the ILP of set cover"; we formulate the same ILPs
-over the candidate-set family and solve them with ``scipy.optimize.milp``
-(HiGHS). Exponential in the worst case, so only small instances (the paper's
-30-AP / ≤50-user setting) are practical — exactly how the paper used them.
+over the candidate family (:func:`~repro.core.candidates.build_family`) and
+solve them with ``scipy.optimize.milp`` (HiGHS). Exponential in the worst
+case, so only small instances (the paper's 30-AP / ≤50-user setting) are
+practical — exactly how the paper used them. The LP bounds of
+:mod:`repro.core.bounds` solve the same :class:`CoverModel` relaxed.
 
 Soundness of additive costs: selecting two sets of the same (AP, session) at
 rates ``r1 < r2`` is never better than selecting only the ``r1`` set — it
@@ -22,10 +24,12 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
 
-from repro.core.assignment import Assignment, from_candidate_sets
-from repro.core.candidates import CandidateSet, build_candidates
+from repro.core.assignment import Assignment, from_selected_sets
+from repro.core.candidates import CandidateFamily, CandidateSet, build_family
 from repro.core.errors import CoverageError, SolverError
 from repro.core.problem import MulticastAssociationProblem
+from repro.vec import backend
+
 
 @dataclass(frozen=True)
 class OptimalSolution:
@@ -36,41 +40,126 @@ class OptimalSolution:
     selected: tuple[CandidateSet, ...]
 
 
-def _coverage_matrix(
-    candidates: list[CandidateSet], n_users: int
-) -> sparse.csr_matrix:
-    """Sparse (n_users x n_sets) incidence matrix: M[u, k] = 1 if u in S_k."""
-    rows: list[int] = []
-    cols: list[int] = []
-    for k, candidate in enumerate(candidates):
-        for user in candidate.users:
-            rows.append(user)
-            cols.append(k)
-    data = np.ones(len(rows))
-    return sparse.csr_matrix(
-        (data, (rows, cols)), shape=(n_users, len(candidates))
+@dataclass(frozen=True)
+class CoverModel:
+    """One objective's ILP over the candidate family.
+
+    The first ``family.n_candidates`` columns select candidate sets; MLA
+    has no others, BLA adds the makespan ``L`` and MNU one ``y_u`` per
+    user. The solver minimizes ``c @ x``; the objective's value is
+    ``sense`` times that (``-1`` for MNU, which maximizes served users).
+    """
+
+    family: CandidateFamily
+    name: str
+    sense: float
+    c: np.ndarray
+    constraints: list[LinearConstraint]
+    integrality: np.ndarray
+    bounds: Bounds
+
+    def solve(self, *, relax: bool = False) -> tuple[float, np.ndarray]:
+        """The objective's value and ``x`` at the MILP optimum, or at its
+        LP relaxation's with ``relax``.
+
+        An instance with no users has nothing to cover or serve: value 0
+        with nothing selected.
+        """
+        if not self.family.n_users:
+            return 0.0, np.zeros(self.c.size)
+        if relax:
+            result = milp(
+                c=self.c,
+                constraints=self.constraints,
+                integrality=np.zeros(self.c.size),
+                bounds=self.bounds,
+            )
+            if not result.success:
+                raise SolverError(
+                    f"LP relaxation for {self.name} failed: {result.message}"
+                )
+        else:
+            result = _milp(self)
+        return self.sense * float(result.fun), result.x
+
+
+def cover_model(
+    problem: MulticastAssociationProblem, objective: str
+) -> CoverModel:
+    """The ILP of ``'mla'``, ``'bla'`` or ``'mnu'`` on ``problem``.
+
+    MLA and BLA raise :class:`CoverageError` for isolated users; MNU
+    raises :class:`SolverError` unless every budget is finite.
+    """
+    if objective not in ("mla", "bla", "mnu"):
+        raise ValueError(f"unknown objective {objective!r}")
+    budgets = np.asarray(problem.budgets, dtype=float)
+    if objective == "mnu":
+        if not np.all(np.isfinite(budgets)):
+            raise SolverError("MNU requires finite per-AP budgets")
+    else:
+        isolated = problem.isolated_users()
+        if isolated:
+            raise CoverageError(isolated)
+    family = build_family(problem)
+    n, m, n_aps = family.n_candidates, problem.n_users, problem.n_aps
+    offsets = backend.as_int64(family.offsets)
+    members = backend.as_int64(family.members)
+    cost = np.array(family.cost, dtype=float)
+    # M[u, k] = 1 if candidate k covers user u.
+    coverage = sparse.csr_matrix(
+        (
+            np.ones(members.size),
+            (members, np.repeat(np.arange(n), np.diff(offsets))),
+        ),
+        shape=(m, n),
     )
-
-
-def _group_cost_matrix(
-    candidates: list[CandidateSet], n_aps: int
-) -> sparse.csr_matrix:
-    """Sparse (n_aps x n_sets) matrix of per-AP summed selection costs."""
-    rows = [c.ap for c in candidates]
-    cols = list(range(len(candidates)))
-    data = [c.cost for c in candidates]
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n_aps, len(candidates)))
-
-
-def _selected_sets(
-    candidates: list[CandidateSet], x: np.ndarray
-) -> tuple[CandidateSet, ...]:
-    return tuple(c for k, c in enumerate(candidates) if x[k] > 0.5)
-
-
-def _check(result: OptimizeResult, what: str) -> None:
-    if not result.success:
-        raise SolverError(f"MILP for {what} failed: {result.message}")
+    # G[a, k] = cost of candidate k if AP a owns it.
+    group_costs = sparse.csr_matrix(
+        (cost, (backend.as_int64(family.ap), np.arange(n))), shape=(n_aps, n)
+    )
+    if objective == "mla":
+        c, integrality, bounds = cost, np.ones(n), Bounds(0, 1)
+        constraints = [LinearConstraint(coverage, lb=1, ub=np.inf)]
+    elif objective == "bla":
+        # Column layout: [x_0 .. x_{n-1}, L]
+        c = np.zeros(n + 1)
+        c[n] = 1.0
+        integrality = np.concatenate([np.ones(n), [0]])
+        bounds = Bounds(np.zeros(n + 1), np.concatenate([np.ones(n), [np.inf]]))
+        constraints = [
+            LinearConstraint(
+                sparse.hstack([coverage, sparse.csr_matrix((m, 1))]),
+                lb=1,
+                ub=np.inf,
+            ),
+            LinearConstraint(
+                sparse.hstack([group_costs, -np.ones((n_aps, 1))]),
+                lb=-np.inf,
+                ub=0,
+            ),
+        ]
+    else:
+        # Column layout: [x_0 .. x_{n-1}, y_0 .. y_{m-1}]
+        c = np.concatenate([np.zeros(n), -np.ones(m)])
+        integrality, bounds = np.ones(n + m), Bounds(0, 1)
+        constraints = [
+            # y_u <= sum of covering x:  y - M x <= 0
+            LinearConstraint(
+                sparse.hstack([-coverage, sparse.eye(m, format="csr")]),
+                lb=-np.inf,
+                ub=0,
+            ),
+            LinearConstraint(
+                sparse.hstack([group_costs, sparse.csr_matrix((n_aps, m))]),
+                lb=-np.inf,
+                ub=budgets,
+            ),
+        ]
+    sense = -1.0 if objective == "mnu" else 1.0
+    return CoverModel(
+        family, objective.upper(), sense, c, constraints, integrality, bounds
+    )
 
 
 def _scaled(
@@ -95,45 +184,58 @@ def _scaled(
     return scaled
 
 
-def _milp(
-    c: np.ndarray,
-    constraints: "list[LinearConstraint] | LinearConstraint",
-    integrality: np.ndarray,
-    bounds: Bounds,
-    what: str,
-) -> OptimizeResult:
+def _milp(model: CoverModel) -> OptimizeResult:
     """``scipy.optimize.milp`` with a scaled retry on solver errors."""
     result = milp(
-        c=c, constraints=constraints, integrality=integrality, bounds=bounds
+        c=model.c,
+        constraints=model.constraints,
+        integrality=model.integrality,
+        bounds=model.bounds,
     )
     if not result.success:
         result = milp(
-            c=c,
-            constraints=_scaled(list(constraints), 1024.0),
-            integrality=integrality,
-            bounds=bounds,
+            c=model.c,
+            constraints=_scaled(model.constraints, 1024.0),
+            integrality=model.integrality,
+            bounds=model.bounds,
         )
-    _check(result, what)
+    if not result.success:
+        raise SolverError(f"MILP for {model.name} failed: {result.message}")
     return result
+
+
+def _optimum(
+    problem: MulticastAssociationProblem, objective: str
+) -> OptimalSolution:
+    model = cover_model(problem, objective)
+    value, x = model.solve()
+    family = model.family
+    chosen = np.flatnonzero(x[: family.n_candidates] > 0.5)
+    assignment = from_selected_sets(problem, family, chosen)
+    if objective == "mnu":
+        # Associate exactly the users the ILP marked served; a user covered
+        # by a selected set but with y_u = 0 would only lower the
+        # objective, so the optimizer marks every covered user — still,
+        # associate from y for bit-exact consistency with the value.
+        y = x[family.n_candidates :]
+        assignment = Assignment(
+            problem,
+            [
+                None if y[user] < 0.5 else ap
+                for user, ap in enumerate(assignment.ap_of_user)
+            ],
+        )
+    assignment.validate(check_budgets=objective == "mnu")
+    return OptimalSolution(
+        assignment=assignment,
+        objective=value,
+        selected=tuple(family.candidate(k) for k in chosen.tolist()),
+    )
 
 
 def solve_mla_optimal(problem: MulticastAssociationProblem) -> OptimalSolution:
     """Exact MLA: minimum-total-load full cover."""
-    isolated = problem.isolated_users()
-    if isolated:
-        raise CoverageError(isolated)
-    candidates = build_candidates(problem)
-    n = len(candidates)
-    coverage = _coverage_matrix(candidates, problem.n_users)
-    costs = np.array([c.cost for c in candidates])
-    constraints = [LinearConstraint(coverage, lb=1, ub=np.inf)]
-    result = _milp(costs, constraints, np.ones(n), Bounds(0, 1), "MLA")
-    selected = _selected_sets(candidates, result.x)
-    assignment = from_candidate_sets(problem, selected)
-    assignment.validate(check_budgets=False)
-    return OptimalSolution(
-        assignment=assignment, objective=float(result.fun), selected=selected
-    )
+    return _optimum(problem, "mla")
 
 
 def solve_bla_optimal(problem: MulticastAssociationProblem) -> OptimalSolution:
@@ -141,39 +243,7 @@ def solve_bla_optimal(problem: MulticastAssociationProblem) -> OptimalSolution:
 
     Variables: one binary per candidate set plus a continuous makespan ``L``.
     """
-    isolated = problem.isolated_users()
-    if isolated:
-        raise CoverageError(isolated)
-    candidates = build_candidates(problem)
-    n = len(candidates)
-    coverage = _coverage_matrix(candidates, problem.n_users)
-    group_costs = _group_cost_matrix(candidates, problem.n_aps)
-
-    # Column layout: [x_0 .. x_{n-1}, L]
-    objective = np.zeros(n + 1)
-    objective[n] = 1.0
-    coverage_ext = sparse.hstack(
-        [coverage, sparse.csr_matrix((problem.n_users, 1))]
-    )
-    load_ext = sparse.hstack(
-        [group_costs, -np.ones((problem.n_aps, 1))]
-    )
-    constraints = [
-        LinearConstraint(coverage_ext, lb=1, ub=np.inf),
-        LinearConstraint(load_ext, lb=-np.inf, ub=0),
-    ]
-    integrality = np.concatenate([np.ones(n), [0]])
-    lower = np.zeros(n + 1)
-    upper = np.concatenate([np.ones(n), [np.inf]])
-    result = _milp(
-        objective, constraints, integrality, Bounds(lower, upper), "BLA"
-    )
-    selected = _selected_sets(candidates, result.x[:n])
-    assignment = from_candidate_sets(problem, selected)
-    assignment.validate(check_budgets=False)
-    return OptimalSolution(
-        assignment=assignment, objective=float(result.fun), selected=selected
-    )
+    return _optimum(problem, "bla")
 
 
 def solve_mnu_optimal(problem: MulticastAssociationProblem) -> OptimalSolution:
@@ -182,64 +252,11 @@ def solve_mnu_optimal(problem: MulticastAssociationProblem) -> OptimalSolution:
     Variables: one binary per candidate set plus one binary ``y_u`` per user
     (``y_u = 1`` iff the user is covered by a selected set).
     """
-    budgets = np.asarray(problem.budgets, dtype=float)
-    if not np.all(np.isfinite(budgets)):
-        raise SolverError("MNU requires finite per-AP budgets")
-    candidates = build_candidates(problem)
-    n = len(candidates)
-    m = problem.n_users
-    coverage = _coverage_matrix(candidates, m)
-    group_costs = _group_cost_matrix(candidates, problem.n_aps)
-
-    # Column layout: [x_0 .. x_{n-1}, y_0 .. y_{m-1}]
-    objective = np.concatenate([np.zeros(n), -np.ones(m)])
-    # y_u <= sum of covering x:  y - M x <= 0
-    linkage = sparse.hstack([-coverage, sparse.eye(m, format="csr")])
-    budget_rows = sparse.hstack(
-        [group_costs, sparse.csr_matrix((problem.n_aps, m))]
-    )
-    constraints = [
-        LinearConstraint(linkage, lb=-np.inf, ub=0),
-        LinearConstraint(budget_rows, lb=-np.inf, ub=budgets),
-    ]
-    result = _milp(
-        objective, constraints, np.ones(n + m), Bounds(0, 1), "MNU"
-    )
-    x = result.x[:n]
-    y = result.x[n:]
-    selected = _selected_sets(candidates, x)
-    # Associate exactly the users the ILP marked served; a user covered by a
-    # selected set but with y_u = 0 would only lower the objective, so the
-    # optimizer marks every covered user — still, associate from y for
-    # bit-exact consistency with the reported objective.
-    ap_of_user: list[int | None] = [None] * m
-    best_rate = [-1.0] * m
-    for candidate in selected:
-        for user in candidate.users:
-            if y[user] < 0.5:
-                continue
-            link = problem.link_rate(candidate.ap, user)
-            if link > best_rate[user]:
-                best_rate[user] = link
-                ap_of_user[user] = candidate.ap
-    assignment = Assignment(problem, ap_of_user)
-    assignment.validate(check_budgets=True)
-    return OptimalSolution(
-        assignment=assignment,
-        objective=-float(result.fun),
-        selected=selected,
-    )
+    return _optimum(problem, "mnu")
 
 
 def optimal_value(
     problem: MulticastAssociationProblem, objective: str
 ) -> float:
     """Convenience: the optimal objective value for ``'mnu'|'bla'|'mla'``."""
-    solvers = {
-        "mnu": solve_mnu_optimal,
-        "bla": solve_bla_optimal,
-        "mla": solve_mla_optimal,
-    }
-    if objective not in solvers:
-        raise ValueError(f"unknown objective {objective!r}")
-    return solvers[objective](problem).objective
+    return _optimum(problem, objective).objective

@@ -279,13 +279,10 @@ class ShardedEngine:
         pending: list[int] = []
         prints: list[str] = []
         for i, (shard, users) in enumerate(live):
-            fingerprint = shard_fingerprint(self.problem, shard, users)
-            prints.append(fingerprint)
-            entry = (
-                self._cache.get(objective, shard.index, fingerprint)
-                if self._use_cache
-                else None
-            )
+            entry = None
+            if self._use_cache:
+                prints.append(shard_fingerprint(self.problem, shard, users))
+                entry = self._cache.get(objective, shard.index, prints[i])
             if entry is None:
                 pending.append(i)
             else:

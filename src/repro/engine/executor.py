@@ -30,13 +30,13 @@ loads is bit-identical to :meth:`~repro.core.assignment.Assignment.
 total_load` of the stitched assignment, without building its ledger.
 
 Both workers speak one format: global ``(user, AP)`` pairs, materialized
-per shard with :func:`~repro.core.assignment.from_selected_sets` — MLA
-straight from the picked indices of its candidate family, MNU's halves
-from their flattened candidate sets. That is exact for MNU's halves too:
-a user's AP depends only on the selected sets that contain it, which all
-lie in the user's shard, in the same order as in the monolithic
-selection. Shard results are plain tuples, so the
-engine's cache can hold them without keeping any solver state alive.
+per shard with :func:`~repro.core.assignment.from_selected_sets` straight
+from the picked indices of the shard's candidate family — MLA's cover,
+MNU's two halves. That is exact for MNU's halves too: a user's AP
+depends only on the selected sets that contain it, which all lie in the
+user's shard, in the same order as in the monolithic selection. Shard
+results are plain tuples, so the engine's cache can hold them without
+keeping any solver state alive.
 """
 
 from __future__ import annotations
@@ -44,13 +44,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-from repro.core.assignment import (
-    Assignment,
-    from_candidate_sets,
-    from_selected_sets,
-)
+from repro.core.assignment import Assignment, from_selected_sets
 from repro.core.mla import mla_cover
-from repro.core.mnu import augment_assignment, solve_mnu
+from repro.core.mnu import augment_assignment, mnu_cover
 from repro.core.problem import MulticastAssociationProblem
 from repro.engine.shard import ShardProblem, stitch_assignment
 
@@ -72,12 +68,16 @@ def mnu_shard_raw(shard_problem: ShardProblem) -> tuple[Pairs, Pairs]:
     """Centralized MNU on one shard: the pairs of both split halves.
 
     The H1/H2 choice is deferred to the engine, which makes it globally —
-    exactly as the monolithic greedy would.
+    exactly as the monolithic greedy would. Like
+    :func:`~repro.core.mnu.solve_mnu` minus its ``mnu.*`` gauges: each
+    half is materialized once, straight from the picked indices.
     """
     problem = shard_problem.problem
-    mcg = solve_mnu(problem, split=True, augment=False).mcg
-    within = from_candidate_sets(problem, mcg.within_budget)
-    overshooting = from_candidate_sets(problem, mcg.overshooting)
+    cover = mnu_cover(problem)
+    within = from_selected_sets(problem, cover.family, cover.mcg.within_budget)
+    overshooting = from_selected_sets(
+        problem, cover.family, cover.mcg.overshooting
+    )
     return (
         _global_pairs(shard_problem, within),
         _global_pairs(shard_problem, overshooting),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.candidates import CandidateFamily, CandidateSet, build_candidates
@@ -85,7 +86,15 @@ class TestGreedyMechanics:
         assert result.overshooting == ()
         family = CandidateFamily.from_candidates(sets, n_users=3, n_aps=2)
         flat = greedy_mcg_flat(family, [0.5, 10.0])
-        assert flat.to_mcg_result(family) == result
+
+        def indices(picked):
+            return tuple(sets.index(c) for c in picked)
+
+        assert flat.selected == indices(result.selected)
+        assert flat.within_budget == indices(result.within_budget)
+        assert flat.overshooting == indices(result.overshooting)
+        assert flat.chosen == indices(result.chosen)
+        assert set(np.flatnonzero(flat.covered).tolist()) == result.covered
 
     def test_split_false_returns_raw(self):
         sets = [cs(0, 0, 6, 0.6, {0}), cs(0, 1, 6, 0.6, {1})]

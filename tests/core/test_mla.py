@@ -8,9 +8,10 @@ import random
 import pytest
 
 from repro.core.errors import CoverageError
-from repro.core.mla import solve_mla
+from repro.core.mla import mla_cover, solve_mla, solve_mla_reference
 from repro.core.optimal import solve_mla_optimal
 from repro.core.problem import MulticastAssociationProblem, Session
+from repro.engine.engine import ShardedEngine
 from tests.conftest import random_problem
 
 class TestPaperExample:
@@ -44,6 +45,31 @@ class TestCoverage:
         )
         with pytest.raises(CoverageError):
             solve_mla(p)
+
+    def test_every_path_names_the_same_isolated_users(self):
+        """``CostSC`` leaves exactly the isolated users uncovered, so the
+        production cover, the reference and the engine all raise them."""
+        rng = random.Random(43)
+        for _ in range(20):
+            p = random_problem(rng, n_users=12)
+            rates = p.link_rates.copy()
+            isolated = sorted(rng.sample(range(p.n_users), rng.randint(1, 4)))
+            rates[:, isolated] = 0.0
+            p = MulticastAssociationProblem(
+                rates,
+                [p.session_of(u) for u in range(p.n_users)],
+                p.sessions,
+                p.budgets,
+            )
+            for solve in (
+                solve_mla,
+                solve_mla_reference,
+                mla_cover,
+                lambda q: ShardedEngine(q).solve("mla"),
+            ):
+                with pytest.raises(CoverageError) as error:
+                    solve(p)
+                assert error.value.uncovered == isolated
 
 
 class TestQuality:

@@ -26,8 +26,8 @@ class TestPaperExample:
 
     def test_mcg_trace_exposed(self, fig1_mnu):
         solution = solve_mnu(fig1_mnu)
-        assert len(solution.mcg.selected) == 2
-        assert len(solution.mcg.overshooting) == 1
+        assert len(solution.cover.mcg.selected) == 2
+        assert len(solution.cover.mcg.overshooting) == 1
 
 
 class TestFeasibility:

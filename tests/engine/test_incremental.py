@@ -138,6 +138,26 @@ class TestEngineCache:
         assert (solution.cache_hits, solution.cache_misses) == (0, 0)
         assert solution.n_resolved == engine.plan.n_shards
 
+    @pytest.mark.parametrize("objective", ["mnu", "mla"])
+    def test_cache_disabled_skips_fingerprints(self, monkeypatch, objective):
+        """With the cache off no shard is fingerprinted, and the solve
+        is the cached engine's, map and ``float.hex`` value."""
+        problem = block_problem(35, n_blocks=4)
+        cached = ShardedEngine(problem).solve(objective)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return shard_fingerprint(*args, **kwargs)
+
+        monkeypatch.setattr(
+            "repro.engine.engine.shard_fingerprint", counting
+        )
+        cold = ShardedEngine(problem, cache=False).solve(objective)
+        assert calls == []
+        assert cold.assignment.ap_of_user == cached.assignment.ap_of_user
+        assert cold.value().hex() == cached.value().hex()
+
     def test_warm_mla_solve_builds_only_the_resolved_shards_ledgers(
         self, monkeypatch
     ):

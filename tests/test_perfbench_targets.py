@@ -48,7 +48,6 @@ def test_engine_mla_solve_reaches_every_core_layer():
     calls = _traced(service_targets(), lambda: engine.solve("mla"))
     for layer in (
         "engine.solve",
-        "core.isolated_users",
         "core.candidates",
         "core.setcover",
         "core.materialize",
