@@ -8,14 +8,20 @@ associated users requesting ``s``, so its load for that session is
 it impossible for a solver to return an assignment whose claimed loads
 disagree with the model.
 
-The derivation itself lives in exactly one place —
-:class:`repro.core.ledger.LoadLedger` (Definition 1's single non-oracle
-implementation). An ``Assignment`` is a frozen view over a private ledger,
-built lazily on the first load read (many assignments are only compared or
-counted); every subsequent load accessor is an O(1) read, and
-:attr:`Assignment.ledger` hands mutable-state consumers (greedy
-augmentation, churn repair) an exact starting point via
-:meth:`~repro.core.ledger.LoadLedger.copy`.
+The derivation lives in :mod:`repro.core.ledger` (Definition 1's single
+non-oracle implementation). An ``Assignment`` prices its per-AP load
+vector lazily, on the first load read, in one bulk pass
+(:func:`~repro.core.ledger.price_loads`) over the map's int64 form — kept
+from the producer when it had one (:func:`from_selected_sets`, the
+engine's stitching) — and every later load read is O(1). Readers of the
+group structure (:meth:`Assignment.users_on`, :meth:`Assignment.
+sessions_on`, :meth:`Assignment.tx_rate`) and mutable-state consumers
+(greedy augmentation, churn repair, via :attr:`Assignment.ledger` and
+:meth:`~repro.core.ledger.LoadLedger.copy`) get a private
+:class:`~repro.core.ledger.LoadLedger`, also built lazily. Under the
+runtime sanitizer (``REPRO_SANITIZE=1``) every priced vector is checked
+bit for bit against a from-scratch recompute and counted as
+``sanitize.price_checks``.
 """
 
 from __future__ import annotations
@@ -25,9 +31,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from repro.core import instrument
 from repro.core.candidates import CandidateFamily
 from repro.core.errors import InfeasibleAssignmentError, ModelError
-from repro.core.ledger import LoadLedger
+from repro.core.ledger import LoadLedger, check_loads, price_loads
 from repro.core.problem import MulticastAssociationProblem
 from repro.vec import backend
 
@@ -37,7 +44,7 @@ UNSERVED = None
 class Assignment:
     """An immutable user -> AP association map with derived loads."""
 
-    __slots__ = ("_problem", "_map", "_ledger")
+    __slots__ = ("_problem", "_map", "_held", "_loads", "_ledger")
 
     def __init__(
         self,
@@ -61,23 +68,31 @@ class Assignment:
                     )
             normalized.append(ap)
         self._map: tuple[int | None, ...] = tuple(normalized)
-        # The ledger (which re-validates and derives all loads) is built
+        # The int64 map, the priced loads and the ledger are all derived
         # lazily: many assignments are compared or counted, never load-read.
+        self._held: np.ndarray | None = None
+        self._loads: np.ndarray | None = None
         self._ledger: LoadLedger | None = None
 
     # -- construction --------------------------------------------------------
 
     @classmethod
     def _of(
-        cls,
-        problem: MulticastAssociationProblem,
-        ap_of_user: tuple[int | None, ...],
+        cls, problem: MulticastAssociationProblem, held: np.ndarray
     ) -> "Assignment":
-        """An assignment over a map its producer already normalized and
-        range-checked in bulk (no per-user pass)."""
+        """An assignment over an int64 map (``-1`` = unserved) its
+        producer already range-checked in bulk; the array is kept, so
+        pricing the loads never re-walks the tuple."""
+        ap_of_user: list[int | None] = held.tolist()
+        for user in np.flatnonzero(held < 0).tolist():
+            ap_of_user[user] = None
+        held = held.view()
+        held.setflags(write=False)
         assignment = cls.__new__(cls)
         assignment._problem = problem
-        assignment._map = ap_of_user
+        assignment._map = tuple(ap_of_user)
+        assignment._held = held
+        assignment._loads = None
         assignment._ledger = None
         return assignment
 
@@ -113,6 +128,18 @@ class Assignment:
     def ap_of_user(self) -> tuple[int | None, ...]:
         return self._map
 
+    def held_array(self) -> np.ndarray:
+        """The map as a read-only int64 array, ``-1`` for unserved."""
+        if self._held is None:
+            held = np.fromiter(
+                (-1 if ap is None else ap for ap in self._map),
+                dtype=np.int64,
+                count=len(self._map),
+            )
+            held.setflags(write=False)
+            self._held = held
+        return self._held
+
     def ap_of(self, user: int) -> int | None:
         return self._map[user]
 
@@ -144,48 +171,57 @@ class Assignment:
         """
         return self.ledger.tx_rate(ap, session)
 
+    def load_array(self) -> np.ndarray:
+        """The per-AP load vector, read-only, priced on first use."""
+        if self._loads is None:
+            held = self.held_array()
+            users = np.flatnonzero(held >= 0)
+            loads = price_loads(self._problem, users, held[users])
+            if instrument.sanitize_enabled():
+                instrument.incr("sanitize.price_checks")
+                check_loads(self._problem, self._map, loads.tolist(), "pricer")
+            loads.setflags(write=False)
+            self._loads = loads
+        return self._loads
+
     def load_of(self, ap: int) -> float:
         """Multicast load of ``ap``: summed airtime of its sessions."""
-        return self.ledger.load_of(ap)
+        return float(self.load_array()[ap])
 
     def loads(self) -> list[float]:
         """Per-AP multicast loads."""
-        return self.ledger.loads()
+        return self.load_array().tolist()
 
     def total_load(self) -> float:
         """Summed multicast load across APs (the MLA objective)."""
-        return self.ledger.total_load()
+        return math.fsum(self.load_array().tolist())
 
     def max_load(self) -> float:
         """Maximum per-AP multicast load (the BLA objective)."""
-        return self.ledger.max_load()
+        loads = self.load_array()
+        return float(loads.max()) if loads.size else 0.0
 
     def sorted_load_vector(self) -> tuple[float, ...]:
         """Loads sorted non-increasing — the BLA comparison vector."""
-        return self.ledger.sorted_load_vector()
+        return tuple(sorted(self.load_array().tolist(), reverse=True))
 
     # -- validation ------------------------------------------------------------
 
     def violations(self, check_budgets: bool = True) -> list[str]:
         """Human-readable model violations (empty when feasible)."""
         problems: list[str] = []
-        served_ap = np.fromiter(
-            (-1 if ap is None else ap for ap in self._map),
-            dtype=np.int64,
-            count=len(self._map),
-        )
-        users = np.nonzero(served_ap >= 0)[0]
+        held = self.held_array()
+        users = np.flatnonzero(held >= 0)
         if users.size:
-            in_range = self._problem.link_rates[served_ap[users], users] > 0
-            for user in users[~in_range]:
+            in_range = self._problem.link_rates[held[users], users] > 0
+            for user in users[~in_range].tolist():
                 problems.append(
-                    f"user {int(user)} is out of range of "
-                    f"AP {int(served_ap[user])}"
+                    f"user {user} is out of range of AP {int(held[user])}"
                 )
         if check_budgets:
-            for ap in range(self._problem.n_aps):
-                load = self.ledger.load_of(ap)
-                budget = self._problem.budget_of(ap)
+            loads = self.load_array().tolist()
+            budgets = self._problem.budgets.tolist()
+            for ap, (load, budget) in enumerate(zip(loads, budgets, strict=True)):
                 if load > budget + 1e-9:
                     problems.append(
                         f"AP {ap} load {load:.4f} exceeds budget {budget:.4f}"
@@ -277,10 +313,7 @@ def from_selected_sets(
         )
     held = np.full(problem.n_users, -1, dtype=np.int64)
     held[served] = won
-    ap_of_user: list[int | None] = held.tolist()
-    for user in np.flatnonzero(held < 0).tolist():
-        ap_of_user[user] = None
-    return Assignment._of(problem, tuple(ap_of_user))
+    return Assignment._of(problem, held)
 
 
 def compare_load_vectors(

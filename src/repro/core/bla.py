@@ -175,7 +175,7 @@ def _assignment_from_cover_flat(
     ap_of = np.full(problem.n_users, -1, dtype=np.int64)
     for k, members in picks:
         ap_of[members[ap_of[members] < 0]] = family.ap[k]
-    return Assignment(problem, [None if a < 0 else int(a) for a in ap_of])
+    return Assignment._of(problem, ap_of)
 
 
 Prober = Callable[[float], "tuple[Assignment, int] | None"]

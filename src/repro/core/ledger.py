@@ -19,6 +19,11 @@ greedy solvers, the online controller, and the evaluation metrics.
 * :class:`CandidateGainIndex` keeps the reference MCG greedy's per-round
   cost-effectiveness table current incrementally, as plain lists.
 
+Readers that only want the numbers skip the ledger: :func:`price_loads`
+computes the per-AP loads of a whole map from int64 arrays, through the
+same bulk grouping pass the ledger's construction uses, and
+:class:`~repro.core.assignment.Assignment` reads its loads that way.
+
 **Transmission policies.** The kernel is parameterized by each session's
 transmission policy (:data:`repro.core.problem.TX_POLICIES`): ``legacy``
 prices a group as ``session_rate / min(member rates)`` (Definition 1,
@@ -41,17 +46,19 @@ approximate — agreement.
 The runtime sanitizer mode (``REPRO_SANITIZE=1``, see
 :func:`repro.core.instrument.sanitize_enabled`) arms a debug invariant:
 after construction and after every mutation the ledger cross-checks its
-cached loads against a naive from-scratch recompute, raises
-:class:`~repro.core.errors.ModelError` on any disagreement, and counts
-each sweep as ``sanitize.ledger_checks``. Tests arm the same check on a
-single ledger with ``LoadLedger(check=True)``.
+cached loads against a naive from-scratch recompute
+(:func:`recompute_loads`), raises :class:`~repro.core.errors.ModelError`
+on any disagreement, and counts each sweep as ``sanitize.ledger_checks``;
+an assignment's priced vector gets the same check, counted as
+``sanitize.price_checks``. Tests arm the ledger's check on a single
+ledger with ``LoadLedger(check=True)``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,6 +196,127 @@ def policy_airtime(
     raise ModelError(f"unknown transmission policy {policy!r}")
 
 
+class _GroupRuns(NamedTuple):
+    """Served users laid out group by group: one lexsort by (AP,
+    session, link rate) makes every (AP, session) group a run of members
+    with its rates ascending, and the groups come in (AP, session) order,
+    so every AP's groups are a run too."""
+
+    rates: np.ndarray  # member link rates, ascending within each group
+    users: np.ndarray  # the members, in the same order
+    edges: np.ndarray  # group g is [edges[g], edges[g + 1]); ends at n
+    ap: np.ndarray  # per group
+    session: np.ndarray  # per group
+
+
+def _group_runs(
+    problem: MulticastAssociationProblem, users: np.ndarray, aps: np.ndarray
+) -> _GroupRuns:
+    """The one bulk grouping pass over served ``users`` held by ``aps``
+    (parallel int64 arrays, every AP in range)."""
+    n_sessions = problem.n_sessions
+    key = aps * n_sessions + problem.session_index[users]
+    rates = problem.link_rates[aps, users]
+    order = backend.lexsort_by_key(rates, key, problem.n_aps * n_sessions)
+    key = key[order]
+    n = key.size
+    new_group = np.ones(n + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new_group[1:n])
+    edges = np.flatnonzero(new_group)
+    ap, session = np.divmod(key[edges[:-1]], n_sessions)
+    return _GroupRuns(rates[order], users[order], edges, ap, session)
+
+
+def price_loads(
+    problem: MulticastAssociationProblem, users: np.ndarray, aps: np.ndarray
+) -> np.ndarray:
+    """Per-AP loads of the map that serves ``users`` at ``aps`` (parallel
+    int64 arrays, every AP in range), without a ledger.
+
+    Bit-identical to :meth:`LoadLedger.loads` over the same map: a legacy
+    group costs ``session_rate / min rate`` — the IEEE division of
+    :meth:`~repro.core.problem.MulticastAssociationProblem.
+    transmission_cost`, ``inf`` for an out-of-range member — and a DMS or
+    hybrid group goes through :func:`policy_airtime` on its rates. An AP's
+    load is the ``math.fsum`` of its groups' costs; an AP that serves
+    nobody reads 0.0.
+    """
+    loads = np.zeros(problem.n_aps, dtype=np.float64)
+    runs = _group_runs(problem, users, aps)
+    start = runs.edges[:-1]
+    stream = np.array(
+        [s.rate_mbps for s in problem.sessions], dtype=np.float64
+    )[runs.session]
+    min_rate = runs.rates[start]
+    cost = np.full(start.size, math.inf)
+    np.divide(stream, min_rate, out=cost, where=min_rate > 0)
+    if not problem.all_legacy:
+        policies = problem.session_policies
+        legacy = np.array([p == TX_LEGACY for p in policies])[runs.session]
+        bounds = runs.edges.tolist()
+        sessions = runs.session.tolist()
+        for g in np.flatnonzero(~legacy).tolist():
+            session = sessions[g]
+            cost[g] = policy_airtime(
+                policies[session],
+                problem.session_rate(session),
+                runs.rates[bounds[g] : bounds[g + 1]].tolist(),
+            )
+    new_ap = np.ones(start.size + 1, dtype=bool)
+    np.not_equal(runs.ap[1:], runs.ap[:-1], out=new_ap[1:-1])
+    ap_edges = np.flatnonzero(new_ap).tolist()
+    costs = cost.tolist()
+    group_ap = runs.ap.tolist()
+    for lo, hi in zip(ap_edges, ap_edges[1:]):
+        loads[group_ap[lo]] = math.fsum(costs[lo:hi])
+    return loads
+
+
+def recompute_loads(
+    problem: MulticastAssociationProblem,
+    ap_of_user: Sequence[int | None],
+) -> list[float]:
+    """Per-AP loads re-derived from the map one user at a time, sharing
+    nothing with the bulk passes — the from-scratch recompute the
+    sanitizer's invariants (and the property tests) compare against."""
+    members: dict[tuple[int, int], list[int]] = {}
+    for user, ap in enumerate(ap_of_user):
+        if ap is not None:
+            members.setdefault((ap, problem.session_of(user)), []).append(user)
+    costs: list[list[float]] = [[] for _ in range(problem.n_aps)]
+    for (ap, session), users in members.items():
+        costs[ap].append(
+            policy_airtime(
+                problem.policy_of(session),
+                problem.session_rate(session),
+                [problem.link_rate(ap, u) for u in users],
+            )
+        )
+    return [math.fsum(c) if c else 0.0 for c in costs]
+
+
+def check_loads(
+    problem: MulticastAssociationProblem,
+    ap_of_user: Sequence[int | None],
+    loads: Sequence[float],
+    what: str,
+) -> None:
+    """Raise :class:`ModelError` unless ``loads`` match
+    :func:`recompute_loads` of the map bit for bit; ``what`` names the
+    holder of ``loads`` in the message."""
+    expected = recompute_loads(problem, ap_of_user)
+    for ap, (want, have) in enumerate(zip(expected, loads, strict=True)):
+        # The invariant is bit-exactness, so this one comparison really
+        # does want ``==`` on floats.
+        same = want == have
+        same = same or (math.isnan(want) and math.isnan(have))
+        if not same:
+            raise ModelError(
+                f"{what} invariant violated: AP {ap} cached load "
+                f"{have!r} != recomputed {want!r}"
+            )
+
+
 class _RateGroup:
     """One (AP, session) multicast group: members and their rate multiset.
 
@@ -258,9 +386,9 @@ class _RateGroup:
 class LoadLedger:
     """Mutable association state with incrementally maintained exact loads.
 
-    The single non-oracle implementation of the paper's load model: every
-    solver, protocol loop, and metric reads (and, for the mutable paths,
-    writes) loads through one of these. Construction from an existing
+    The mutable half of the paper's load model (:func:`price_loads` is
+    the read-only half): protocol loops, greedy augmentation, churn repair
+    and group readers hold one of these. Construction from an existing
     ``user -> AP | None`` map is one bulk pass (a lexsort of the served
     users, then one Python step per group); every mutation and gain query
     is O(k + log m) where ``k`` is the number of sessions the touched AP
@@ -325,12 +453,12 @@ class LoadLedger:
         """Group the initial map's served users in bulk and price each
         group; return the APs that serve anyone.
 
-        One lexsort by (AP, session, link rate) lays every group out as a
-        run of members with its rates ascending, so each group's distinct
-        rates and their counts are runs too. Groups are inserted in the
-        order of their lowest member, the order a per-user walk over the
-        map creates them, and priced through :meth:`_cost_of`. An unknown
-        AP raises for the lowest user holding one.
+        :func:`_group_runs` lays every group out as a run of members with
+        its rates ascending, so each group's distinct rates and their
+        counts are runs too. Groups are inserted in the order of their
+        lowest member, the order a per-user walk over the map creates
+        them, and priced through :meth:`_cost_of`. An unknown AP raises
+        for the lowest user holding one.
         """
         problem = self._problem
         held = np.array(self._map, dtype=np.float64)  # None -> nan
@@ -344,25 +472,16 @@ class LoadLedger:
             raise ModelError(
                 f"user {user} assigned to unknown AP {self._map[user]}"
             )
-        aps = held.astype(np.int64)
-        n_sessions = problem.n_sessions
-        key = aps * n_sessions + problem.session_index[users]
-        rates = problem.link_rates[aps, users]
-        order = backend.lexsort_by_key(rates, key, problem.n_aps * n_sessions)
-        key = key[order]
-        rates = rates[order]
-        users = users[order]
-        # Runs: a group starts where the key changes, a rate run where
-        # the key or the rate does, so every group start is a rate start.
-        # Both edge lists end with the member count.
-        n = key.size
-        new_group = np.ones(n + 1, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=new_group[1:n])
-        new_rate = new_group.copy()
+        runs = _group_runs(problem, users, held.astype(np.int64))
+        rates, users, group_edges = runs.rates, runs.users, runs.edges
+        # A rate run starts where the group or the rate changes, so every
+        # group start is a rate start. Both edge lists end with the
+        # member count.
+        n = rates.size
+        new_rate = np.zeros(n + 1, dtype=bool)
+        new_rate[group_edges] = True
         new_rate[1:n] |= rates[1:] != rates[:-1]
-        group_edges = np.flatnonzero(new_group)
         rate_edges = np.flatnonzero(new_rate)
-        group_start = group_edges[:-1]
         bounds = group_edges.tolist()
         # Group g's (rate, count) runs are rate_counts[rate_lo[g]:rate_lo[g + 1]].
         rate_lo = np.searchsorted(rate_edges, group_edges).tolist()
@@ -373,11 +492,11 @@ class LoadLedger:
             )
         )
         members = users.tolist()
-        group_ap, group_session = np.divmod(key[group_start], n_sessions)
-        ap_list = group_ap.tolist()
-        keys = list(zip(ap_list, group_session.tolist()))
+        ap_list = runs.ap.tolist()
+        keys = list(zip(ap_list, runs.session.tolist()))
         new, groups, costs = _RateGroup.__new__, self._groups, self._session_costs
-        for g in np.argsort(np.minimum.reduceat(users, group_start)).tolist():
+        first_member = np.minimum.reduceat(users, group_edges[:-1])
+        for g in np.argsort(first_member).tolist():
             group = new(_RateGroup)
             group.members = set(members[bounds[g] : bounds[g + 1]])
             group.counts = dict(rate_counts[rate_lo[g] : rate_lo[g + 1]])
@@ -668,49 +787,12 @@ class LoadLedger:
 
     # -- the debug invariant ---------------------------------------------
 
-    def naive_loads(self) -> list[float]:
-        """Per-AP loads re-derived from the map alone, ignoring all cached
-        state — the recompute the sanitizer's invariant (and the property
-        tests) compare against."""
-        members: dict[tuple[int, int], list[int]] = {}
-        for user, ap in enumerate(self._map):
-            if ap is None:
-                continue
-            members.setdefault(
-                (ap, self._problem.session_of(user)), []
-            ).append(user)
-        costs: list[list[float]] = [[] for _ in range(self._problem.n_aps)]
-        for (ap, session), users in members.items():
-            if self._policies[session] == TX_LEGACY:
-                rate = min(self._problem.link_rate(ap, u) for u in users)
-                costs[ap].append(self._group_cost(session, rate))
-            else:
-                costs[ap].append(
-                    policy_airtime(
-                        self._policies[session],
-                        self._problem.session_rate(session),
-                        [self._problem.link_rate(ap, u) for u in users],
-                    )
-                )
-        return [math.fsum(c) if c else 0.0 for c in costs]
-
     def verify_against_recompute(self) -> None:
         """Raise :class:`ModelError` unless cached loads match a naive
         recompute bit-for-bit."""
         if instrument.sanitize_enabled():
             instrument.incr("sanitize.ledger_checks")
-        expected = self.naive_loads()
-        actual = self._loads.tolist()
-        for ap, (want, have) in enumerate(zip(expected, actual, strict=True)):
-            # The invariant is bit-exactness, so this one comparison
-            # really does want ``==`` on floats.
-            same = want == have
-            same = same or (math.isnan(want) and math.isnan(have))
-            if not same:
-                raise ModelError(
-                    f"ledger invariant violated: AP {ap} cached load "
-                    f"{have!r} != recomputed {want!r}"
-                )
+        check_loads(self._problem, self._map, self._loads.tolist(), "ledger")
 
 
 class CandidateGainIndex:

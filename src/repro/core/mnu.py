@@ -139,14 +139,12 @@ def _flat_mcg(
     problem: MulticastAssociationProblem, split: bool
 ) -> tuple[MnuCover, int]:
     family = build_family(problem)
-    live = [
-        family.cost[k] <= problem.budget_of(family.ap[k]) + 1e-12
-        for k in range(family.n_candidates)
-    ]
+    arrays = family.arrays()
+    live = arrays.cost <= problem.budgets[arrays.ap] + 1e-12
     flat = greedy_mcg_flat(
         family, list(problem.budgets), live=live, split=split
     )
-    return MnuCover(family=family, mcg=flat), sum(live)
+    return MnuCover(family=family, mcg=flat), int(live.sum())
 
 
 def _reference_mcg(

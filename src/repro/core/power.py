@@ -139,9 +139,9 @@ def project_power_assignment(
     across levels applies.
     """
     n_phys = extended.n_physical_aps
-    # One read of the ledger's load vector; collapsing the (AP, level) axis
-    # is a reshape + per-row fsum, rounded like every other ledger sum.
-    virtual_loads = assignment.ledger.load_array().reshape(
+    # One read of the priced load vector; collapsing the (AP, level) axis
+    # is a reshape + per-row fsum, rounded like every other load sum.
+    virtual_loads = assignment.load_array().reshape(
         n_phys, len(extended.levels)
     )
     loads = [math.fsum(row.tolist()) for row in virtual_loads]

@@ -17,7 +17,7 @@ Exactness contract:
   with or without the cache. The MLA value is read from the cached
   per-shard fragments' AP loads (see
   :func:`~repro.engine.executor.stitch_mla`), bit-identical to the
-  stitched assignment's ``total_load()`` without building its ledger.
+  stitched assignment's ``total_load()`` without pricing it again.
 * ``bla`` *is* the monolithic :func:`~repro.core.bla.solve_bla`, run on
   the active sub-problem and mapped back to global indices: its B* search
   compares global quantities at every step, so it runs once per solve
@@ -36,6 +36,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
+import numpy as np
+
 from repro.core.assignment import Assignment
 from repro.core.bla import solve_bla
 from repro.core.errors import CoverageError, ModelError
@@ -52,7 +54,7 @@ from repro.engine.shard import (
     Shard,
     ShardProblem,
     build_shards,
-    stitch_assignment,
+    stitch_arrays,
 )
 from repro.obs import counters as metrics
 from repro.obs import trace as tracing
@@ -314,13 +316,10 @@ class ShardedEngine:
             return empty, 0.0, 0, {"b_star": math.inf, "iterations": 0}
         sub, keep = self.problem.restricted_to_users(active_set)
         result = solve_bla(sub)
-        assignment = stitch_assignment(
-            self.problem,
-            (
-                (keep[user], ap)
-                for user, ap in enumerate(result.assignment.ap_of_user)
-                if ap is not None
-            ),
+        held = result.assignment.held_array()
+        served = np.flatnonzero(held >= 0)
+        assignment = stitch_arrays(
+            self.problem, np.asarray(keep, dtype=np.int64)[served], held[served]
         )
         return (
             assignment,

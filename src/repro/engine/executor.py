@@ -27,38 +27,53 @@ APs — and :func:`stitch_mla` only concatenates: a per-AP load depends on
 nothing outside the AP's shard, every AP lies in at most one shard, and
 ``math.fsum`` is order-independent, so the ``fsum`` of the fragments'
 loads is bit-identical to :meth:`~repro.core.assignment.Assignment.
-total_load` of the stitched assignment, without building its ledger.
+total_load` of the stitched assignment, without pricing it again.
 
-Both workers speak one format: global ``(user, AP)`` pairs, materialized
-per shard with :func:`~repro.core.assignment.from_selected_sets` straight
-from the picked indices of the shard's candidate family — MLA's cover,
-MNU's two halves. That is exact for MNU's halves too: a user's AP
-depends only on the selected sets that contain it, which all lie in the
-user's shard, in the same order as in the monolithic selection. Shard
-results are plain tuples, so the engine's cache can hold them without
+Both workers speak one format: global pairs as two parallel read-only
+int64 arrays, ``users`` (ascending) and ``aps``, materialized per shard
+with :func:`~repro.core.assignment.from_selected_sets` straight from the
+picked indices of the shard's candidate family — MLA's cover, MNU's two
+halves. That is exact for MNU's halves too: a user's AP depends only on
+the selected sets that contain it, which all lie in the user's shard, in
+the same order as in the monolithic selection. Stitching concatenates
+the arrays and scatters them into one int64 map
+(:func:`~repro.engine.shard.stitch_arrays`). Shard results are plain
+tuples of read-only arrays, so the engine's cache can hold them without
 keeping any solver state alive.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from repro.core.assignment import Assignment, from_selected_sets
 from repro.core.mla import mla_cover
 from repro.core.mnu import augment_assignment, mnu_cover
 from repro.core.problem import MulticastAssociationProblem
-from repro.engine.shard import ShardProblem, stitch_assignment
+from repro.engine.shard import ShardProblem, stitch_arrays
 
-#: One shard's assignment in global indices: its ``(user, AP)`` pairs.
-Pairs = tuple[tuple[int, int], ...]
+#: One shard's assignment in global indices: read-only int64 ``users``
+#: (ascending) and the ``aps`` they hold.
+Pairs = tuple[np.ndarray, np.ndarray]
 
 #: One shard's materialized MLA result: its pairs and the loads of its APs.
 MlaFragment = tuple[Pairs, tuple[float, ...]]
 
 
-def _global_pairs(shard_problem: ShardProblem, assignment: Assignment) -> Pairs:
-    return tuple(shard_problem.map_assignment(assignment.ap_of_user))
+def _stitch_pairs(
+    problem: MulticastAssociationProblem, parts: Sequence[Pairs]
+) -> Assignment:
+    """Concatenate shard pairs and scatter them into one global map."""
+    none = np.zeros(0, dtype=np.int64)
+    return stitch_arrays(
+        problem,
+        np.concatenate([none, *(users for users, _ in parts)]),
+        np.concatenate([none, *(aps for _, aps in parts)]),
+    )
 
 
 # -- shard workers -----------------------------------------------------------
@@ -79,15 +94,16 @@ def mnu_shard_raw(shard_problem: ShardProblem) -> tuple[Pairs, Pairs]:
         problem, cover.family, cover.mcg.overshooting
     )
     return (
-        _global_pairs(shard_problem, within),
-        _global_pairs(shard_problem, overshooting),
+        shard_problem.global_pairs(within.held_array()),
+        shard_problem.global_pairs(overshooting.held_array()),
     )
 
 
 def mla_shard_raw(shard_problem: ShardProblem) -> MlaFragment:
     """Centralized MLA (``CostSC``) on one shard, materialized.
 
-    Returns the shard's pairs and per-AP loads. Like
+    Returns the shard's pairs and per-AP loads, priced in bulk without
+    a ledger. Like
     :func:`~repro.core.mla.solve_mla` minus its ``mla.*`` gauges: the
     engine publishes one stitched objective, not per-shard ones.
     """
@@ -96,7 +112,10 @@ def mla_shard_raw(shard_problem: ShardProblem) -> MlaFragment:
     assignment = from_selected_sets(
         problem, cover.family, cover.chosen
     ).validate(check_budgets=False)
-    return _global_pairs(shard_problem, assignment), tuple(assignment.loads())
+    return (
+        shard_problem.global_pairs(assignment.held_array()),
+        tuple(assignment.loads()),
+    )
 
 
 # -- stitching ---------------------------------------------------------------
@@ -117,13 +136,12 @@ def stitch_mnu(
     ``greedy_mcg(split=True)``, since a half's pairs are exactly the
     users its selected sets cover.
     """
-    within: list[tuple[int, int]] = []
-    overshooting: list[tuple[int, int]] = []
-    for shard_within, shard_over in shard_halves:
-        within.extend(shard_within)
-        overshooting.extend(shard_over)
-    chosen = within if len(within) >= len(overshooting) else overshooting
-    assignment = stitch_assignment(problem, chosen)
+    within = [shard_within for shard_within, _ in shard_halves]
+    overshooting = [shard_over for _, shard_over in shard_halves]
+    n_within = sum(users.size for users, _ in within)
+    n_overshooting = sum(users.size for users, _ in overshooting)
+    chosen = within if n_within >= n_overshooting else overshooting
+    assignment = _stitch_pairs(problem, chosen)
     if augment:
         assignment = augment_assignment(assignment, eligible=eligible)
     return assignment.validate(check_budgets=True)
@@ -138,9 +156,7 @@ def stitch_mla(
     The total load is ``math.fsum`` over every fragment's AP loads —
     bit-identical to the stitched assignment's ``total_load()``.
     """
-    pairs: list[tuple[int, int]] = []
-    loads: list[float] = []
-    for shard_pairs, shard_loads in fragments:
-        pairs.extend(shard_pairs)
-        loads.extend(shard_loads)
-    return stitch_assignment(problem, pairs), math.fsum(loads)
+    assignment = _stitch_pairs(problem, [pairs for pairs, _ in fragments])
+    return assignment, math.fsum(
+        chain.from_iterable(loads for _, loads in fragments)
+    )

@@ -19,8 +19,9 @@ stream rates need no remapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import sha256
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,6 +39,9 @@ class ShardProblem:
     problem: MulticastAssociationProblem
     users: tuple[int, ...]  # local user i  ->  global user users[i]
     aps: tuple[int, ...]  # local AP j    ->  global AP aps[j]
+    # The same two maps as read-only int64 arrays.
+    user_index: np.ndarray = field(repr=False, compare=False)
+    ap_index: np.ndarray = field(repr=False, compare=False)
 
     def global_user(self, local: int) -> int:
         return self.users[local]
@@ -47,15 +51,27 @@ class ShardProblem:
 
     def map_assignment(self, local_map: Sequence[int | None]) -> list[tuple[int, int]]:
         """Translate a local ``ap_of_user`` into global (user, ap) pairs."""
-        if len(local_map) != len(self.users):
+        held = np.fromiter(
+            (-1 if a is None else a for a in local_map),
+            dtype=np.int64,
+            count=len(local_map),
+        )
+        users, aps = self.global_pairs(held)
+        return list(zip(users.tolist(), aps.tolist(), strict=True))
+
+    def global_pairs(self, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Translate a local int64 map (``-1`` = unserved) into read-only
+        global ``(users, aps)`` arrays, users ascending."""
+        if held.size != len(self.users):
             raise ModelError(
-                f"shard has {len(self.users)} users, map covers {len(local_map)}"
+                f"shard has {len(self.users)} users, map covers {held.size}"
             )
-        return [
-            (self.users[u], self.aps[a])
-            for u, a in enumerate(local_map)
-            if a is not None
-        ]
+        served = np.flatnonzero(held >= 0)
+        users = self.user_index[served]
+        aps = self.ap_index[held[served]]
+        users.setflags(write=False)
+        aps.setflags(write=False)
+        return users, aps
 
 
 class Shard:
@@ -71,6 +87,8 @@ class Shard:
         self.users = component.users
         self.user_set = frozenset(component.users)
         self.ap_set = frozenset(component.aps)
+        self.ap_index = np.asarray(component.aps, dtype=np.int64)
+        self.ap_index.setflags(write=False)
         self._ap_local = {ap: j for j, ap in enumerate(component.aps)}
         self._user_local = {u: i for i, u in enumerate(component.users)}
         self._digest_rates: np.ndarray | None = None
@@ -125,6 +143,7 @@ class Shard:
         if users is None:
             users = self.users
         columns = np.asarray(users, dtype=np.int64)
+        columns.setflags(write=False)
         if len(self.aps) == problem.n_aps:  # sorted, distinct: all APs
             rates = np.take(problem.link_rates, columns, axis=1)
             budgets = problem.budgets
@@ -138,7 +157,13 @@ class Shard:
             budgets,
             problem.session_policies,
         )
-        return ShardProblem(problem=sub, users=users, aps=self.aps)
+        return ShardProblem(
+            problem=sub,
+            users=users,
+            aps=self.aps,
+            user_index=columns,
+            ap_index=self.ap_index,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -163,17 +188,47 @@ def stitch_assignment(
     problem: MulticastAssociationProblem,
     pairs: Iterable[tuple[int, int]],
 ) -> Assignment:
-    """Global assignment from per-shard (user, AP) pairs.
+    """Global assignment from per-shard (user, AP) pairs
+    (:func:`stitch_arrays` over the pairs' two columns)."""
+    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
+    return stitch_arrays(problem, flat[0::2], flat[1::2])
+
+
+def stitch_arrays(
+    problem: MulticastAssociationProblem,
+    users: np.ndarray,
+    aps: np.ndarray,
+) -> Assignment:
+    """Global assignment from parallel int64 ``users``/``aps`` arrays,
+    one entry per (user, AP) pair, scattered into one int64 map.
 
     Users appearing in no pair stay unserved. Shards are user-disjoint, so
-    a duplicate user indicates a bug in the caller's shard bookkeeping;
-    the error names the *first* conflicting pair.
+    a duplicate user holding two APs indicates a bug in the caller's shard
+    bookkeeping; the error names the *first* conflicting pair. A repeated
+    identical pair is harmless. An AP out of range raises for the lowest
+    user holding one.
     """
-    ap_of_user: list[int | None] = [None] * problem.n_users
-    for user, ap in pairs:
-        if ap_of_user[user] is not None and ap_of_user[user] != ap:
+    n_users = problem.n_users
+    if users.size and (users.min() < 0 or users.max() >= n_users):
+        bad = (users < 0) | (users >= n_users)
+        raise ModelError(f"unknown user {users[bad.argmax()]}")
+    held = np.full(n_users, -1, dtype=np.int64)
+    held[users] = aps
+    if (held[users] != aps).any():
+        _raise_first_conflict(users.tolist(), aps.tolist())
+    if aps.size and (aps.min() < 0 or aps.max() >= problem.n_aps):
+        user = int(users[(aps < 0) | (aps >= problem.n_aps)].min())
+        raise ModelError(f"user {user} assigned to unknown AP {held[user]}")
+    return Assignment._of(problem, held)
+
+
+def _raise_first_conflict(users: list[int], aps: list[int]) -> None:
+    """Walk the pairs in order and blame the first user whose AP differs
+    from the one its first pair gave it."""
+    first: dict[int, int] = {}
+    for user, ap in zip(users, aps, strict=True):
+        held = first.setdefault(user, ap)
+        if held != ap:
             raise ModelError(
-                f"user {user} assigned by two shards ({ap_of_user[user]}, {ap})"
+                f"user {user} assigned by two shards ({held}, {ap})"
             )
-        ap_of_user[user] = ap
-    return Assignment(problem, ap_of_user)

@@ -64,9 +64,9 @@ class AlgorithmResult:
 def _metrics(
     name: str, assignment: Assignment, elapsed: float
 ) -> AlgorithmResult:
-    # One read of the ledger's cached load vector serves both objectives —
-    # no per-AP recompute loop.
-    loads = assignment.ledger.load_array()
+    # One read of the priced load vector serves both objectives — no
+    # per-AP recompute loop.
+    loads = assignment.load_array()
     return AlgorithmResult(
         algorithm=name,
         n_users=assignment.problem.n_users,

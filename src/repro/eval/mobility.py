@@ -192,7 +192,7 @@ def _series_metrics(
     running_cost = 0.0
     for epoch, (problem, ap_map) in enumerate(zip(problems, maps)):
         assignment = Assignment(problem, list(ap_map))
-        loads = assignment.ledger.load_array()
+        loads = assignment.load_array()
         max_loads.append(float(loads.max()) if loads.size else 0.0)
         unserved.append(problem.n_users - assignment.n_served)
         if epoch == 0:

@@ -97,3 +97,18 @@ class TestStitch:
         problem, _ = sharded
         assignment = stitch_assignment(problem, [(0, 0), (0, 0)])
         assert assignment.ap_of(0) == 0
+
+    def test_unknown_ap_names_the_lowest_user(self, sharded):
+        problem, _ = sharded
+        n = problem.n_aps
+        with pytest.raises(ModelError, match=f"user 1 assigned to unknown AP {n}"):
+            stitch_assignment(problem, [(2, -1), (1, n), (0, 0)])
+        with pytest.raises(ModelError, match="user 2 assigned to unknown AP -1"):
+            stitch_assignment(problem, [(2, -1), (0, 0)])
+
+    def test_unknown_user_rejected(self, sharded):
+        problem, _ = sharded
+        with pytest.raises(ModelError, match=f"unknown user {problem.n_users}"):
+            stitch_assignment(problem, [(0, 0), (problem.n_users, 0)])
+        with pytest.raises(ModelError, match="unknown user -1"):
+            stitch_assignment(problem, [(-1, 0)])

@@ -51,7 +51,6 @@ def test_engine_mla_solve_reaches_every_core_layer():
         "core.candidates",
         "core.setcover",
         "core.materialize",
-        "core.ledger_build",
     ):
         assert calls[layer] > 0, layer
 
