@@ -20,9 +20,10 @@ greedy solvers, the online controller, and the evaluation metrics.
   cost-effectiveness table current incrementally, as plain lists.
 
 Readers that only want the numbers skip the ledger: :func:`price_loads`
-computes the per-AP loads of a whole map from int64 arrays, through the
-same bulk grouping pass the ledger's construction uses, and
-:class:`~repro.core.assignment.Assignment` reads its loads that way.
+computes the per-AP loads of a whole map from int64 arrays in one bulk
+grouping pass, and :class:`~repro.core.assignment.Assignment` reads its
+loads that way. Only callers that mutate a map or read its groups build
+a ledger.
 
 **Transmission policies.** The kernel is parameterized by each session's
 transmission policy (:data:`repro.core.problem.TX_POLICIES`): ``legacy``
@@ -389,10 +390,11 @@ class LoadLedger:
     The mutable half of the paper's load model (:func:`price_loads` is
     the read-only half): protocol loops, greedy augmentation, churn repair
     and group readers hold one of these. Construction from an existing
-    ``user -> AP | None`` map is one bulk pass (a lexsort of the served
-    users, then one Python step per group); every mutation and gain query
-    is O(k + log m) where ``k`` is the number of sessions the touched AP
-    transmits and ``m`` the group size — independent of the user count.
+    ``user -> AP | None`` map inserts the served users one by one, then
+    prices each group and each serving AP once; every mutation and gain
+    query is O(k + log m) where ``k`` is the number of sessions the
+    touched AP transmits and ``m`` the group size — independent of the
+    user count.
     """
 
     __slots__ = (
@@ -442,69 +444,36 @@ class LoadLedger:
         self.op_policy_costs: dict[str, int] = {}
 
         if initial is not None:
-            for ap in self._build_groups():
-                self._refresh_load(ap)
+            self._insert_map()
         if self._check:
             self.verify_against_recompute()
 
     # -- internals -------------------------------------------------------
 
-    def _build_groups(self) -> set[int]:
-        """Group the initial map's served users in bulk and price each
-        group; return the APs that serve anyone.
+    def _insert_map(self) -> None:
+        """Group the initial map's served users one by one, then price
+        each group once and each serving AP once.
 
-        :func:`_group_runs` lays every group out as a run of members with
-        its rates ascending, so each group's distinct rates and their
-        counts are runs too. Groups are inserted in the order of their
-        lowest member, the order a per-user walk over the map creates
-        them, and priced through :meth:`_cost_of`. An unknown AP raises
-        for the lowest user holding one.
+        Groups are created in the order of their lowest member. An
+        unknown AP raises for the lowest user holding one.
         """
         problem = self._problem
-        held = np.array(self._map, dtype=np.float64)  # None -> nan
-        users = np.flatnonzero(held == held)  # served: not NaN
-        if not users.size:
-            return set()
-        held = held[users]
-        if held.min() < 0 or held.max() >= problem.n_aps:
-            unknown = (held < 0) | (held >= problem.n_aps)
-            user = int(users[unknown.argmax()])
-            raise ModelError(
-                f"user {user} assigned to unknown AP {self._map[user]}"
+        sessions = problem.user_sessions
+        rates = problem.link_rates
+        serving: set[int] = set()
+        for user, ap in enumerate(self._map):
+            if ap is None:
+                continue
+            if not 0 <= ap < problem.n_aps:
+                raise ModelError(f"user {user} assigned to unknown AP {ap}")
+            self._group_for(ap, sessions[user]).add(
+                user, rates.item(ap, user)
             )
-        runs = _group_runs(problem, users, held.astype(np.int64))
-        rates, users, group_edges = runs.rates, runs.users, runs.edges
-        # A rate run starts where the group or the rate changes, so every
-        # group start is a rate start. Both edge lists end with the
-        # member count.
-        n = rates.size
-        new_rate = np.zeros(n + 1, dtype=bool)
-        new_rate[group_edges] = True
-        new_rate[1:n] |= rates[1:] != rates[:-1]
-        rate_edges = np.flatnonzero(new_rate)
-        bounds = group_edges.tolist()
-        # Group g's (rate, count) runs are rate_counts[rate_lo[g]:rate_lo[g + 1]].
-        rate_lo = np.searchsorted(rate_edges, group_edges).tolist()
-        rate_counts = list(
-            zip(
-                rates[rate_edges[:-1]].tolist(),
-                np.subtract(rate_edges[1:], rate_edges[:-1]).tolist(),
-            )
-        )
-        members = users.tolist()
-        ap_list = runs.ap.tolist()
-        keys = list(zip(ap_list, runs.session.tolist()))
-        new, groups, costs = _RateGroup.__new__, self._groups, self._session_costs
-        first_member = np.minimum.reduceat(users, group_edges[:-1])
-        for g in np.argsort(first_member).tolist():
-            group = new(_RateGroup)
-            group.members = set(members[bounds[g] : bounds[g + 1]])
-            group.counts = dict(rate_counts[rate_lo[g] : rate_lo[g + 1]])
-            group.rates = list(group.counts)  # runs come in rate order
-            groups[keys[g]] = group
-            ap, session = keys[g]
-            costs[ap][session] = self._cost_of(session, group)
-        return set(ap_list)
+            serving.add(ap)
+        for (ap, session), group in self._groups.items():
+            self._session_costs[ap][session] = self._cost_of(session, group)
+        for ap in serving:
+            self._refresh_load(ap)
 
     def _group_for(self, ap: int, session: int) -> _RateGroup:
         group = self._groups.get((ap, session))

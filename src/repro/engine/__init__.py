@@ -21,12 +21,7 @@ from repro.engine.partition import (
     coverage_components,
     plan_shards,
 )
-from repro.engine.shard import (
-    Shard,
-    ShardProblem,
-    build_shards,
-    stitch_assignment,
-)
+from repro.engine.shard import Shard, ShardProblem, build_shards
 
 __all__ = [
     "CacheStats",
@@ -42,7 +37,6 @@ __all__ = [
     "coverage_components",
     "plan_shards",
     "shard_fingerprint",
-    "stitch_assignment",
     "stitch_mla",
     "stitch_mnu",
 ]

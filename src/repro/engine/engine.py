@@ -26,8 +26,10 @@ Exactness contract:
 Membership: the engine keeps none. :meth:`ShardedEngine.solve` serves
 exactly the ``active`` users it is handed (every user by default),
 matching the monolithic solvers on ``problem.restricted_to_users(active)``.
-Membership changes need no explicit invalidation — the touched shard's
-fingerprint changes, so its cache entry simply misses.
+It turns them into one bool mask per solve, which every membership
+question of that solve reads. Membership changes need no explicit
+invalidation — the touched shard's fingerprint changes, so its cache
+entry simply misses.
 """
 
 from __future__ import annotations
@@ -97,7 +99,10 @@ class ShardedEngine:
             problem, max_shard_users=max_shard_users
         )
         self.shards: list[Shard] = build_shards(self.plan)
-        self._shard_of_user = self.plan.shard_of_user()
+        self._user_shards = np.full(problem.n_users, -1, dtype=np.int64)
+        for shard in self.shards:
+            self._user_shards[shard.users] = shard.index
+        self._user_shards.setflags(write=False)
         self._use_cache = cache
         self._cache = ShardCache()
 
@@ -141,32 +146,42 @@ class ShardedEngine:
         self.problem = problem
         metrics.incr("engine.problem_swaps")
 
+    @property
+    def user_shards(self) -> np.ndarray:
+        """Read-only int64 array: each user's shard index, ``-1`` for an
+        isolated user."""
+        return self._user_shards
+
     def shard_of_user(self, user: int) -> int | None:
         """The shard index owning ``user`` (``None`` when isolated)."""
-        self._check_user(user)
-        return self._shard_of_user.get(user)
-
-    # -- validation ------------------------------------------------------
-
-    def _check_user(self, user: int) -> None:
         if not 0 <= user < self.problem.n_users:
             raise ModelError(f"unknown user {user}")
+        shard = int(self._user_shards[user])
+        return None if shard < 0 else shard
 
-    def _check_users(self, users: set[int]) -> None:
-        """Bounds-check a whole membership set in O(1) python calls.
+    # -- membership ------------------------------------------------------
 
-        ``min``/``max`` replace a per-user loop (which at 100k users costs
-        more than the solve's bookkeeping) and make the reported offender
-        deterministic — a plain set scan would surface an arbitrary one.
+    def _membership(self, active: Iterable[int] | None) -> np.ndarray:
+        """``active`` as a bool mask over the users (all when ``None``).
+
+        One ``min``/``max`` bounds-checks the whole membership and makes
+        the reported offender deterministic: the lowest user if one is
+        negative, else the highest.
         """
-        if not users:
-            return
-        lowest = min(users)
-        if lowest < 0:
-            raise ModelError(f"unknown user {lowest}")
-        highest = max(users)
-        if highest >= self.problem.n_users:
-            raise ModelError(f"unknown user {highest}")
+        n_users = self.problem.n_users
+        if active is None:
+            return np.ones(n_users, dtype=bool)
+        users = np.fromiter(active, dtype=np.int64)
+        mask = np.zeros(n_users, dtype=bool)
+        if users.size:
+            lowest = users.min()
+            if lowest < 0:
+                raise ModelError(f"unknown user {lowest}")
+            highest = users.max()
+            if highest >= n_users:
+                raise ModelError(f"unknown user {highest}")
+            mask[users] = True
+        return mask
 
     # -- cache control ---------------------------------------------------
 
@@ -193,32 +208,29 @@ class ShardedEngine:
         """
         if objective not in OBJECTIVES:
             raise ModelError(f"unknown objective {objective!r}")
-        active_set = (
-            set(range(self.problem.n_users)) if active is None else set(active)
-        )
-        self._check_users(active_set)
+        mask = self._membership(active)
         hits0 = self._cache.stats.hits
         misses0 = self._cache.stats.misses
 
         with tracing.span(
             "engine.solve",
             objective=objective,
-            n_active=len(active_set),
+            n_active=int(np.count_nonzero(mask)),
         ):
             if objective == "mnu":
                 solution = self._solve_cached(
                     "mnu",
-                    active_set,
+                    mask,
                     mnu_shard_raw,
-                    self._stitch_mnu(augment, active_set),
+                    self._stitch_mnu(augment, mask),
                 )
             elif objective == "mla":
-                self._require_coverage(active_set)
+                self._require_coverage(mask)
                 solution = self._solve_cached(
-                    "mla", active_set, mla_shard_raw, stitch_mla
+                    "mla", mask, mla_shard_raw, stitch_mla
                 )
             else:
-                solution = self._solve_bla_exact(active_set)
+                solution = self._solve_bla_exact(mask)
         metrics.incr("engine.solves")
 
         assignment, value, n_resolved, extras = solution
@@ -235,27 +247,29 @@ class ShardedEngine:
 
     # -- internals -------------------------------------------------------
 
-    def _require_coverage(self, active_set: set[int]) -> None:
-        isolated = sorted(set(self.plan.isolated_users) & active_set)
-        if isolated:
-            raise CoverageError(isolated)
+    def _require_coverage(self, mask: np.ndarray) -> None:
+        isolated = np.flatnonzero(mask & (self._user_shards < 0))
+        if isolated.size:
+            raise CoverageError(isolated.tolist())
 
-    def _live_shards(self, active_set: set[int]) -> list[tuple[Shard, tuple[int, ...]]]:
+    def _live_shards(self, mask: np.ndarray) -> list[tuple[Shard, np.ndarray]]:
+        """The shards holding an active user, each with those users."""
         live = []
         for shard in self.shards:
-            users = shard.active_users(active_set)
-            if users:
+            users = shard.active_users(mask)
+            if users.size:
                 live.append((shard, users))
         return live
 
     def _stitch_mnu(
-        self, augment: bool, active_set: set[int]
+        self, augment: bool, mask: np.ndarray
     ) -> Callable[..., tuple[Assignment, float]]:
         def stitch(
             problem: MulticastAssociationProblem, raws: list
         ) -> tuple[Assignment, float]:
+            eligible = np.flatnonzero(mask).tolist() if augment else None
             assignment = stitch_mnu(
-                problem, raws, augment=augment, eligible=active_set
+                problem, raws, augment=augment, eligible=eligible
             )
             return assignment, float(assignment.n_served)
 
@@ -264,7 +278,7 @@ class ShardedEngine:
     def _solve_cached(
         self,
         objective: str,
-        active_set: set[int],
+        mask: np.ndarray,
         worker: Callable[[ShardProblem], Any],
         stitch: Callable[..., tuple[Assignment, float]],
     ) -> tuple[Assignment, float, int, dict[str, object]]:
@@ -276,7 +290,7 @@ class ShardedEngine:
         rebuilt from the entries on every solve; the engine keeps no
         mutable stitched state a rolled-back tick would have to undo.
         """
-        live = self._live_shards(active_set)
+        live = self._live_shards(mask)
         entries: list[Any] = [None] * len(live)
         pending: list[int] = []
         prints: list[str] = []
@@ -302,7 +316,7 @@ class ShardedEngine:
         return assignment, value, len(pending), {}
 
     def _solve_bla_exact(
-        self, active_set: set[int]
+        self, mask: np.ndarray
     ) -> tuple[Assignment, float, int, dict[str, object]]:
         """The monolithic :func:`solve_bla` on the active sub-problem.
 
@@ -310,20 +324,19 @@ class ShardedEngine:
         runs once over all active users, uncached, and the result is
         mapped back to global user indices.
         """
-        self._require_coverage(active_set)
-        if not active_set:
+        self._require_coverage(mask)
+        keep = np.flatnonzero(mask)
+        if not keep.size:
             empty = Assignment(self.problem, [None] * self.problem.n_users)
             return empty, 0.0, 0, {"b_star": math.inf, "iterations": 0}
-        sub, keep = self.problem.restricted_to_users(active_set)
+        sub, _ = self.problem.restricted_to_users(keep.tolist())
         result = solve_bla(sub)
         held = result.assignment.held_array()
         served = np.flatnonzero(held >= 0)
-        assignment = stitch_arrays(
-            self.problem, np.asarray(keep, dtype=np.int64)[served], held[served]
-        )
+        assignment = stitch_arrays(self.problem, keep[served], held[served])
         return (
             assignment,
             assignment.max_load(),
-            len(self._live_shards(active_set)),
+            len(self._live_shards(mask)),
             {"b_star": result.b_star, "iterations": result.iterations},
         )

@@ -40,7 +40,7 @@ from repro.obs import counters as metrics
 def shard_fingerprint(
     problem: MulticastAssociationProblem,
     shard: Shard,
-    active_users: Sequence[int],
+    active_users: Sequence[int] | np.ndarray,
 ) -> str:
     """Content hash of the sub-problem ``shard`` induces over ``active_users``.
 
@@ -48,25 +48,29 @@ def shard_fingerprint(
     the solvers being deterministic — identical per-shard solutions. The
     rates enter as the digest of the shard's *full* ``aps × users`` block
     (:meth:`~repro.engine.shard.Shard.block_digest`, cached for the last
-    rate matrix hashed) next to the active-user list; that pins the
-    active sub-matrix because the active users must be a subset of the
-    shard's users, and anything else raises
+    rate matrix hashed) next to the active users' int64 bytes; that pins
+    the active sub-matrix because the active users must be a subset of
+    the shard's users, and anything else raises
     :class:`~repro.core.errors.ModelError`.
     """
-    users = list(active_users)
-    if not shard.user_set.issuperset(users):
-        outside = sorted(set(users) - shard.user_set)
-        raise ModelError(f"users {outside} are not in shard {shard.index}")
+    users = np.asarray(active_users, dtype=np.int64)
+    # ``shard.users`` is sorted: a user is the shard's iff it sits at its
+    # own insertion point.
+    slots = np.searchsorted(shard.users, users)
+    outside = shard.users.take(slots, mode="clip") != users
+    if outside.any():
+        strays = sorted(set(users[outside].tolist()))
+        raise ModelError(f"users {strays} are not in shard {shard.index}")
     digest = sha256()
-    aps = list(shard.aps)
-    user_array = np.asarray(users, dtype=np.int64)
-    digest.update(np.asarray(aps, dtype=np.int64).tobytes())
-    digest.update(user_array.tobytes())
+    digest.update(shard.aps.tobytes())
+    digest.update(users.tobytes())
     digest.update(shard.block_digest(problem))
     digest.update(
-        np.ascontiguousarray(problem.budgets[aps], dtype=np.float64).tobytes()
+        np.ascontiguousarray(
+            problem.budgets[shard.aps], dtype=np.float64
+        ).tobytes()
     )
-    sessions = problem.session_index[user_array]
+    sessions = problem.session_index[users]
     digest.update(sessions.tobytes())
     for session in problem.sessions:
         digest.update(

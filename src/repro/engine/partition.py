@@ -66,22 +66,6 @@ class ShardPlan:
     def n_shards(self) -> int:
         return len(self.shards)
 
-    def shard_of_user(self) -> dict[int, int]:
-        """user -> shard index (isolated users absent)."""
-        return {
-            user: index
-            for index, shard in enumerate(self.shards)
-            for user in shard.users
-        }
-
-    def shard_of_ap(self) -> dict[int, int]:
-        """AP -> shard index (idle APs absent)."""
-        return {
-            ap: index
-            for index, shard in enumerate(self.shards)
-            for ap in shard.aps
-        }
-
 
 def coverage_components(
     problem: MulticastAssociationProblem,

@@ -1,15 +1,15 @@
-"""Shard slicing — per-shard sub-problems with stable index remapping.
+"""Shard slicing — per-shard sub-problems over sorted int64 index arrays.
 
 A :class:`Shard` freezes one entry of a :class:`~repro.engine.partition.
-ShardPlan` and can slice a parent problem into a self-contained
+ShardPlan` as two read-only, ascending int64 arrays, ``aps`` and
+``users``, and can slice a parent problem into a self-contained
 :class:`~repro.core.problem.MulticastAssociationProblem` over the shard's
-APs and (a subset of) its users. Index maps run both ways:
+APs and (a subset of) its users. The index maps are positional: local AP
+``j`` is ``aps[j]`` and local user ``i`` is ``users[i]`` of the
+:class:`ShardProblem`, and :meth:`ShardProblem.global_pairs` applies them
+to a whole local map at once.
 
-* global -> local: ``shard.local_user(u)`` / ``shard.local_ap(a)``;
-* local -> global: positional — local index ``i`` is ``aps[i]`` /
-  the ``i``-th kept user.
-
-Both slicings sort indices ascending, so the sub-problem's candidate-set
+Both slicings keep indices ascending, so the sub-problem's candidate-set
 enumeration order, tie-breaks and floating-point costs coincide exactly
 with the monolithic solver's restriction to the shard — the invariant the
 engine's equivalence guarantee rests on. The full session catalog is kept
@@ -19,10 +19,8 @@ stream rates need no remapping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
-from itertools import chain
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -32,43 +30,24 @@ from repro.core.problem import MulticastAssociationProblem
 from repro.engine.partition import Component, ShardPlan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShardProblem:
-    """A sliced sub-instance plus its local -> global maps."""
+    """A sliced sub-instance plus its local -> global index arrays."""
 
     problem: MulticastAssociationProblem
-    users: tuple[int, ...]  # local user i  ->  global user users[i]
-    aps: tuple[int, ...]  # local AP j    ->  global AP aps[j]
-    # The same two maps as read-only int64 arrays.
-    user_index: np.ndarray = field(repr=False, compare=False)
-    ap_index: np.ndarray = field(repr=False, compare=False)
-
-    def global_user(self, local: int) -> int:
-        return self.users[local]
-
-    def global_ap(self, local: int) -> int:
-        return self.aps[local]
-
-    def map_assignment(self, local_map: Sequence[int | None]) -> list[tuple[int, int]]:
-        """Translate a local ``ap_of_user`` into global (user, ap) pairs."""
-        held = np.fromiter(
-            (-1 if a is None else a for a in local_map),
-            dtype=np.int64,
-            count=len(local_map),
-        )
-        users, aps = self.global_pairs(held)
-        return list(zip(users.tolist(), aps.tolist(), strict=True))
+    users: np.ndarray  # local user i -> global user users[i]
+    aps: np.ndarray  # local AP j -> global AP aps[j]
 
     def global_pairs(self, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Translate a local int64 map (``-1`` = unserved) into read-only
         global ``(users, aps)`` arrays, users ascending."""
-        if held.size != len(self.users):
+        if held.size != self.users.size:
             raise ModelError(
-                f"shard has {len(self.users)} users, map covers {held.size}"
+                f"shard has {self.users.size} users, map covers {held.size}"
             )
         served = np.flatnonzero(held >= 0)
-        users = self.user_index[served]
-        aps = self.ap_index[held[served]]
+        users = self.users[served]
+        aps = self.aps[held[served]]
         users.setflags(write=False)
         aps.setflags(write=False)
         return users, aps
@@ -77,36 +56,25 @@ class ShardProblem:
 class Shard:
     """One shard of the partition: its APs and users, no problem bound.
 
-    The engine owns the one current problem and hands it to
-    :meth:`slice` and :meth:`block_digest` on every call.
+    ``aps`` and ``users`` are read-only int64 arrays, ascending. The
+    engine owns the one current problem and hands it to :meth:`slice`
+    and :meth:`block_digest` on every call.
     """
 
     def __init__(self, index: int, component: Component) -> None:
         self.index = index
-        self.aps = component.aps
-        self.users = component.users
-        self.user_set = frozenset(component.users)
-        self.ap_set = frozenset(component.aps)
-        self.ap_index = np.asarray(component.aps, dtype=np.int64)
-        self.ap_index.setflags(write=False)
-        self._ap_local = {ap: j for j, ap in enumerate(component.aps)}
-        self._user_local = {u: i for i, u in enumerate(component.users)}
+        self.aps = _index_array(component.aps)
+        self.users = _index_array(component.users)
         self._digest_rates: np.ndarray | None = None
         self._block_digest = b""
 
     @property
     def n_users(self) -> int:
-        return len(self.users)
+        return self.users.size
 
     @property
     def n_aps(self) -> int:
-        return len(self.aps)
-
-    def local_user(self, global_user: int) -> int:
-        return self._user_local[global_user]
-
-    def local_ap(self, global_ap: int) -> int:
-        return self._ap_local[global_ap]
+        return self.aps.size
 
     def block_digest(self, problem: MulticastAssociationProblem) -> bytes:
         """SHA-256 of ``problem``'s link rates over this shard's full
@@ -122,18 +90,21 @@ class Shard:
             self._digest_rates = rates
         return self._block_digest
 
-    def active_users(self, active: Iterable[int]) -> tuple[int, ...]:
-        """The shard's users intersected with ``active``, ascending."""
-        return tuple(sorted(self.user_set.intersection(active)))
+    def active_users(self, mask: np.ndarray) -> np.ndarray:
+        """The shard's users that the global bool ``mask`` marks: a
+        read-only int64 array, ascending."""
+        users = self.users[mask[self.users]]
+        users.setflags(write=False)
+        return users
 
     def slice(
         self,
         problem: MulticastAssociationProblem,
-        users: tuple[int, ...] | None = None,
+        users: np.ndarray | None = None,
     ) -> ShardProblem:
         """The sub-problem of ``problem`` over this shard's APs and
-        ``users`` (ascending, as :meth:`active_users` returns them; all of
-        the shard's users by default).
+        ``users`` (an ascending int64 array, as :meth:`active_users`
+        returns it; all of the shard's users by default).
 
         Keeps every session (ids stay stable), slices the rate matrix with
         sorted index vectors (orders stay stable), and carries the per-AP
@@ -142,28 +113,20 @@ class Shard:
         """
         if users is None:
             users = self.users
-        columns = np.asarray(users, dtype=np.int64)
-        columns.setflags(write=False)
-        if len(self.aps) == problem.n_aps:  # sorted, distinct: all APs
-            rates = np.take(problem.link_rates, columns, axis=1)
+        if self.aps.size == problem.n_aps:  # sorted, distinct: all APs
+            rates = np.take(problem.link_rates, users, axis=1)
             budgets = problem.budgets
         else:
-            rates = problem.link_rates[np.ix_(self.aps, columns)]
-            budgets = problem.budgets[list(self.aps)]
+            rates = problem.link_rates[np.ix_(self.aps, users)]
+            budgets = problem.budgets[self.aps]
         sub = MulticastAssociationProblem(
             rates,
-            problem.session_index[columns],
+            problem.session_index[users],
             problem.sessions,
             budgets,
             problem.session_policies,
         )
-        return ShardProblem(
-            problem=sub,
-            users=users,
-            aps=self.aps,
-            user_index=columns,
-            ap_index=self.ap_index,
-        )
+        return ShardProblem(problem=sub, users=users, aps=self.aps)
 
     def __repr__(self) -> str:
         return (
@@ -171,9 +134,13 @@ class Shard:
         )
 
 
-def _hash_block(
-    rates: np.ndarray, aps: Sequence[int], users: Sequence[int]
-) -> bytes:
+def _index_array(indices: tuple[int, ...]) -> np.ndarray:
+    array = np.asarray(indices, dtype=np.int64)
+    array.setflags(write=False)
+    return array
+
+
+def _hash_block(rates: np.ndarray, aps: np.ndarray, users: np.ndarray) -> bytes:
     return sha256(rates[np.ix_(aps, users)].tobytes()).digest()
 
 
@@ -182,16 +149,6 @@ def build_shards(plan: ShardPlan) -> list[Shard]:
     return [
         Shard(index, component) for index, component in enumerate(plan.shards)
     ]
-
-
-def stitch_assignment(
-    problem: MulticastAssociationProblem,
-    pairs: Iterable[tuple[int, int]],
-) -> Assignment:
-    """Global assignment from per-shard (user, AP) pairs
-    (:func:`stitch_arrays` over the pairs' two columns)."""
-    flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64)
-    return stitch_arrays(problem, flat[0::2], flat[1::2])
 
 
 def stitch_arrays(

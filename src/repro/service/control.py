@@ -34,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
+import numpy as np
+
 from repro.core import instrument
 from repro.core.assignment import Assignment
 from repro.core.errors import ModelError
@@ -203,20 +205,21 @@ class ControlService:
             + len(leaves)
         )
 
-        dirty: set[int] = set()
-        for user in list(moves) + joins + leaves:
-            shard = self.engine.shard_of_user(user)
-            if shard is not None:
-                dirty.add(shard)
+        touched = [*moves, *joins, *leaves]
         # A policy flip re-prices exactly the shards whose active users
         # stream the flipped session — unlike a rate change, whose rate
         # sits in every fingerprint via the session catalog.
         if policy_changes:
-            for user in self._active:
-                if problem.session_of(user) in policy_changes:
-                    shard = self.engine.shard_of_user(user)
-                    if shard is not None:
-                        dirty.add(shard)
+            streaming = np.isin(problem.session_index, list(policy_changes))
+            touched += [
+                user
+                for user in np.flatnonzero(streaming).tolist()
+                if user in self._active
+            ]
+        dirty = set(
+            self.engine.user_shards[np.array(touched, dtype=np.int64)].tolist()
+        )
+        dirty.discard(-1)  # isolated users dirty no shard
         if rate_changes:
             dirty = set(range(self.engine.plan.n_shards))
 

@@ -68,8 +68,9 @@ class TestConstruction:
 
 
 def reference_ledger(problem, initial):
-    """The per-user construction the bulk build replaced, kept as the
-    differential reference: an empty ledger filled user by user."""
+    """The differential reference for construction from a map: an empty
+    ledger filled user by user through its own private helpers, the
+    order and counts ``LoadLedger.__init__`` must reproduce."""
     ledger = LoadLedger(problem, check=False)
     ledger._map = [None if a is None else int(a) for a in initial]
     touched = set()

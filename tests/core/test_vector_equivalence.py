@@ -6,8 +6,8 @@ and each keeps a scalar reference function beside it that no production
 call reaches. The two must be *indistinguishable* — same user→AP maps,
 same ``float.hex`` loads, same selection orders, same instrumentation
 counters, same error messages. Hypothesis drives 200 random instances
-through each pair. Materialization and stitching run scalar loops in
-production; they are checked against a declarative restatement of their
+through each pair. Materialization and stitching keep no scalar
+reference; they are checked against a declarative restatement of their
 contract instead.
 """
 
@@ -34,7 +34,7 @@ from repro.core.mla import solve_mla, solve_mla_reference
 from repro.core.mnu import solve_mnu, solve_mnu_reference
 from repro.core.problem import MulticastAssociationProblem, Session
 from repro.core.setcover import greedy_set_cover, greedy_set_cover_flat
-from repro.engine.shard import stitch_assignment
+from repro.engine.shard import stitch_arrays
 from repro.obs import collecting
 
 RATES = (6.0, 12.0, 18.0, 24.0, 36.0, 48.0, 54.0)
@@ -312,7 +312,12 @@ def test_stitch_equivalence(problem, rng):
         if ap is not None
     ]
     rng.shuffle(pairs)
-    assert_same_assignment(assignment, stitch_assignment(problem, pairs))
+
+    def stitch(pairs):
+        flat = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return stitch_arrays(problem, flat[:, 0], flat[:, 1])
+
+    assert_same_assignment(assignment, stitch(pairs))
 
     if not pairs or problem.n_aps < 2:
         return
@@ -320,7 +325,7 @@ def test_stitch_equivalence(problem, rng):
     other = (ap + 1) % problem.n_aps
     conflicting = pairs + [(user, other)]
     with pytest.raises(ModelError) as error:
-        stitch_assignment(problem, conflicting)
+        stitch(conflicting)
     assert str(error.value) == (
         f"user {user} assigned by two shards ({ap}, {other})"
     )

@@ -287,7 +287,9 @@ class TestFingerprintSoundness:
         problem, shards = setup
         with pytest.raises(ModelError, match="not in shard 0"):
             shard_fingerprint(
-                problem, shards[0], shards[0].users + shards[1].users[:1]
+                problem,
+                shards[0],
+                np.concatenate([shards[0].users, shards[1].users[:1]]),
             )
 
 
@@ -305,8 +307,8 @@ class TestSwapProblemKeepsThePlan:
         )
         engine.swap_problem(moved)
         assert engine.plan is plan
-        assert [s.users for s in engine.shards] == [
-            s.users for s in plan.shards
+        assert [s.users.tolist() for s in engine.shards] == [
+            list(s.users) for s in plan.shards
         ]
         assert engine.problem is moved
         warm = engine.solve("mla")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.problem import MulticastAssociationProblem, Session
+from repro.engine.engine import ShardedEngine
 from repro.engine.partition import (
     Component,
     coverage_components,
@@ -266,12 +267,13 @@ class TestPlanShards:
 
     def test_lookup_maps(self):
         problem = block_problem(4, n_blocks=3)
-        plan = plan_shards(problem)
-        user_map = plan.shard_of_user()
-        ap_map = plan.shard_of_ap()
-        for index, shard in enumerate(plan.shards):
-            assert all(user_map[u] == index for u in shard.users)
-            assert all(ap_map[a] == index for a in shard.aps)
+        engine = ShardedEngine(problem)
+        expected = np.full(problem.n_users, -1)
+        for index, shard in enumerate(engine.plan.shards):
+            expected[list(shard.users)] = index
+            assert all(engine.shard_of_user(u) == index for u in shard.users)
+        assert engine.user_shards.tolist() == expected.tolist()
+        assert not engine.user_shards.flags.writeable
 
     def test_bad_cap_rejected(self):
         problem = block_problem(5, n_blocks=2)
